@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import enum
 import io as _io
+import re
 import sys
 
 from . import catalog, enumeration, io, product
@@ -25,6 +26,10 @@ from .core import (
 )
 
 __all__ = ["ExitStatus", "main", "run"]
+
+
+# ASCII only: int() also takes other scripts' digits, "_" and "+".
+INTEGER_RE = re.compile(r"-?[0-9]+\Z")
 
 
 class ExitStatus(enum.IntEnum):
@@ -132,7 +137,7 @@ def _cmd_catalog(args, stdin, out, err) -> int:
     params: dict[str, int] = {}
     for item in args.param or []:
         key, sep, value = item.partition("=")
-        if not sep or not key or not value.lstrip("-").isdigit():
+        if not sep or not key or not INTEGER_RE.match(value):
             raise _Usage(f"bad --param {item!r}, expected NAME=INTEGER")
         params[key] = int(value)
     profile = catalog.get(args.name, params)
@@ -174,6 +179,19 @@ def _cmd_iso(args, stdin, out, err) -> int:
     same = is_isomorphic(_load(args.file_a, stdin), _load(args.file_b, stdin))
     _emit(out, "isomorphic" if same else "not isomorphic")
     return ExitStatus.OK if same else ExitStatus.CHECK_FAILED
+
+
+def _integer(text: str) -> int:
+    if not INTEGER_RE.match(text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+def _nonnegative_integer(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -223,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("enumerate", help="all admissible profiles with a given total")
-    p.add_argument("--total", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=None)
+    p.add_argument("--total", type=_integer, required=True)
+    p.add_argument("--max-vertices", type=_nonnegative_integer, default=None)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check", help="lattice and monotonicity predicates")

@@ -432,6 +432,7 @@ class CanonicalProfile:
 
 
 def _class_structure(profile: RkProfile):
+    """Per-class sizes, limit counts, strictly-below/above masks and Hasse cover pairs."""
     q = quotient(profile)
     k = len(q.classes)
     pos = {c.representative: i for i, c in enumerate(q.classes)}
@@ -448,8 +449,16 @@ def _class_structure(profile: RkProfile):
         for a in _bits(down[b])
         if not down[b] & up[a]
     ]
-    members = [sorted(q.members[c.representative]) for c in q.classes]
-    return sizes, ils, down, up, covers, members
+    return sizes, ils, down, up, covers
+
+
+def _cell_keys(
+    sizes: list[int], ils: list[int], down: list[int], up: list[int]
+) -> list[tuple[int, int, int, int]]:
+    """(size, il, |down|, |up|) per class: the keys of the initial cells."""
+    return [
+        (sizes[e], ils[e], down[e].bit_count(), up[e].bit_count()) for e in range(len(sizes))
+    ]
 
 
 def _refine(cells: list[list[int]], down: list[int], up: list[int]) -> list[list[int]]:
@@ -483,63 +492,206 @@ def _refine(cells: list[list[int]], down: list[int], up: list[int]) -> list[list
             return cells
 
 
-def _discrete_orders(
+# Class sizes and limit counts in leaf order, and the cover pairs relabelled to
+# leaf positions, sorted.  The canonical document is a function of it.
+_Certificate = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
+
+
+def _root_cells(
     sizes: list[int], ils: list[int], down: list[int], up: list[int]
-) -> Iterator[list[int]]:
-    """All class orderings reachable by individualization-refinement.
-
-    The search is exhaustive over the members of the first non-singleton cell
-    at every node, so the set of leaves is invariant under isomorphism; cost
-    grows with the automorphism count of the quotient structure.
-    """
+) -> list[list[int]]:
+    """The refined partition into initial cells, the root of the search tree."""
     initial: dict[tuple[int, int, int, int], list[int]] = {}
-    for e in range(len(sizes)):
-        key = (sizes[e], ils[e], down[e].bit_count(), up[e].bit_count())
+    for e, key in enumerate(_cell_keys(sizes, ils, down, up)):
         initial.setdefault(key, []).append(e)
-    cells = [initial[key] for key in sorted(initial)]
+    return _refine([initial[key] for key in sorted(initial)], down, up)
 
-    def search(cells: list[list[int]]) -> Iterator[list[int]]:
-        cells = _refine(cells, down, up)
-        for ci, c in enumerate(cells):
-            if len(c) > 1:
-                for e in sorted(c):
-                    rest = [x for x in c if x != e]
-                    yield from search(cells[:ci] + [[e], rest] + cells[ci + 1 :])
-                return
-        yield [c[0] for c in cells]
 
-    yield from search(cells)
+def _certificate(
+    order: list[int], sizes: list[int], ils: list[int], covers: list[tuple[int, int]]
+) -> _Certificate:
+    pos = [0] * len(order)
+    for p, e in enumerate(order):
+        pos[e] = p
+    return (
+        tuple(sizes[e] for e in order),
+        tuple(ils[e] for e in order),
+        tuple(sorted((pos[a], pos[b]) for a, b in covers)),
+    )
+
+
+def _target(cells: list[list[int]]) -> int | None:
+    """Index of the first non-singleton cell; None when the partition is discrete."""
+    return next((i for i, c in enumerate(cells) if len(c) > 1), None)
+
+
+def _individualize(
+    cells: list[list[int]], t: int, e: int, down: list[int], up: list[int]
+) -> list[list[int]]:
+    """Split e off cell t, just before the rest of the cell, and refine."""
+    rest = [x for x in cells[t] if x != e]
+    return _refine(cells[:t] + [[e], rest] + cells[t + 1 :], down, up)
+
+
+@dataclass
+class _Node:
+    """An inner node of the search tree: its cells, target cell and children so far."""
+
+    cells: list[list[int]]
+    target: int
+    children: list[int]
+    explored: list[int] = field(default_factory=list)
+    next_child: int = 0
+    fixing: list[list[int]] = field(default_factory=list)
+    generators_checked: int = 0
+
+
+def _in_explored_orbit(e: int, explored: list[int], generators: list[list[int]]) -> bool:
+    """Whether e lies in the orbit of an explored class under the group the generators span."""
+    targets = set(explored)
+    orbit = {e}
+    frontier = [e]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = g[x]
+            if y in targets:
+                return True
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return False
+
+
+def _leaf_search(
+    sizes: list[int],
+    ils: list[int],
+    down: list[int],
+    up: list[int],
+    covers: list[tuple[int, int]],
+) -> tuple[list[_Certificate], int]:
+    """Distinct leaf certificates of the individualization-refinement tree, and leaves visited.
+
+    The root is the refined partition into initial cells; a node's children
+    individualize, in increasing order, each member of its first non-singleton
+    cell, then refine.  The walk is depth first, with an explicit stack.
+    A leaf whose certificate was seen before gives an automorphism (the map
+    from the earlier leaf order to this one), and the walk backjumps to the
+    deepest common ancestor of the two leaves, since the rest of the current
+    subtree there is the automorphism's image of an explored one.  A child
+    whose class shares an orbit with an explored sibling, under the recorded
+    automorphisms that fix the node's individualized classes, is skipped for
+    the same reason.  Only automorphic images of explored subtrees are
+    skipped, so every certificate of the whole tree is found (McKay and
+    Piperno, "Practical graph isomorphism, II", 2014).
+    """
+    cells = _root_cells(sizes, ils, down, up)
+    # certificate -> (leaf order, individualized class per level) of its first leaf
+    seen: dict[_Certificate, tuple[list[int], list[int]]] = {}
+    generators: list[list[int]] = []
+    path: list[_Node] = []
+    leaves = 0
+    while True:
+        target = _target(cells)
+        if target is not None:
+            path.append(_Node(cells, target, sorted(cells[target])))
+        else:
+            leaves += 1
+            order = [c[0] for c in cells]
+            cert = _certificate(order, sizes, ils, covers)
+            chosen = [node.explored[-1] for node in path]
+            first = seen.get(cert)
+            if first is None:
+                seen[cert] = (order, chosen)
+            else:
+                first_order, first_chosen = first
+                gamma = [0] * len(order)
+                for a, b in zip(first_order, order):
+                    gamma[a] = b
+                generators.append(gamma)
+                depth = 0
+                while first_chosen[depth] == chosen[depth]:
+                    depth += 1
+                del path[depth + 1 :]
+        while path:
+            node = path[-1]
+            child = _next_child(node, [n.explored[-1] for n in path[:-1]], generators)
+            if child is not None:
+                break
+            path.pop()
+        else:
+            return list(seen), leaves
+        cells = _individualize(node.cells, node.target, child, down, up)
+
+
+def _next_child(node: _Node, prefix: list[int], generators: list[list[int]]) -> int | None:
+    """The node's next child outside the orbits of its explored children, marked explored."""
+    for g in generators[node.generators_checked :]:
+        if all(g[x] == x for x in prefix):
+            node.fixing.append(g)
+    node.generators_checked = len(generators)
+    while node.next_child < len(node.children):
+        e = node.children[node.next_child]
+        node.next_child += 1
+        if node.fixing and _in_explored_orbit(e, node.explored, node.fixing):
+            continue
+        node.explored.append(e)
+        return e
+    return None
+
+
+def _first_leaf(
+    sizes: list[int],
+    ils: list[int],
+    down: list[int],
+    up: list[int],
+    covers: list[tuple[int, int]],
+) -> _Certificate:
+    """_Certificate of the search tree's first leaf: always individualize the least class."""
+    cells = _root_cells(sizes, ils, down, up)
+    while (t := _target(cells)) is not None:
+        cells = _individualize(cells, t, min(cells[t]), down, up)
+    return _certificate([c[0] for c in cells], sizes, ils, covers)
+
+
+def _document(cert: _Certificate, cw: int, mw: int) -> bytes:
+    sizes, ils, covers = cert
+    members = [
+        [f"n{p:0{cw}d}"] if size == 1 else [f"n{p:0{cw}d}_{j:0{mw}d}" for j in range(size)]
+        for p, size in enumerate(sizes)
+    ]
+    return _format.document_bytes(*_format.compose_lines(members, list(ils), list(covers)))
 
 
 def canonical_form(profile: RkProfile) -> CanonicalProfile:
-    """Relabel by a canonical class ordering and serialize; minimum over candidates."""
+    """Relabel by a canonical class ordering and serialize; minimum over leaf certificates."""
     _require_admissible(profile)
-    sizes, ils, down, up, covers, _ = _class_structure(profile)
-    k = len(sizes)
-    cw = max(2, len(str(k - 1)))
+    structure = _class_structure(profile)
+    sizes = structure[0]
+    cw = max(2, len(str(len(sizes) - 1)))
     mw = max(2, len(str(max(sizes) - 1)))
-    best: bytes | None = None
-    for order in _discrete_orders(sizes, ils, down, up):
-        pos = {orig: p for p, orig in enumerate(order)}
-        members = []
-        for p, orig in enumerate(order):
-            if sizes[orig] == 1:
-                members.append([f"n{p:0{cw}d}"])
-            else:
-                members.append([f"n{p:0{cw}d}_{j:0{mw}d}" for j in range(sizes[orig])])
-        text = _format.document_bytes(
-            *_format.compose_lines(
-                members,
-                [ils[orig] for orig in order],
-                [(pos[a], pos[b]) for a, b in covers],
-            )
-        )
-        if best is None or text < best:
-            best = text
-    assert best is not None
-    return CanonicalProfile(best)
+    certificates, _ = _leaf_search(*structure)
+    return CanonicalProfile(min(_document(cert, cw, mw) for cert in certificates))
+
+
+def _invariants(structure) -> tuple[int, int, list[tuple[int, int, int, int]]]:
+    sizes, ils, down, up, _ = structure
+    return sum(sizes), len(sizes), sorted(_cell_keys(sizes, ils, down, up))
 
 
 def is_isomorphic(a: RkProfile, b: RkProfile) -> bool:
-    """True iff the profiles are isomorphic as IL-labeled preorders."""
-    return canonical_form(a).canonical_text == canonical_form(b).canonical_text
+    """True iff the profiles are isomorphic as IL-labeled preorders.
+
+    Profiles whose vertex count, class count or initial cell keys differ are
+    told apart without a search.
+    """
+    _require_admissible(a)
+    _require_admissible(b)
+    sa, sb = _class_structure(a), _class_structure(b)
+    if _invariants(sa) != _invariants(sb):
+        return False
+    # Isomorphic profiles have the same certificates over their whole search
+    # trees, and equal certificates mean equal relabelled structures, so one
+    # leaf of b decides.
+    certificates, _ = _leaf_search(*sa)
+    return _first_leaf(*sb) in certificates

@@ -17,6 +17,7 @@ representatives, il lines on representatives, LF endings, trailing newline.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import _format
@@ -44,6 +45,10 @@ __all__ = [
     "render_dot",
     "serialize",
 ]
+
+
+# ASCII digits only: str.isdigit and int() also take other scripts' digits.
+COUNT_RE = re.compile(r"[0-9]+\Z")
 
 
 class ParseError(ProfileError):
@@ -111,7 +116,7 @@ def parse(text: bytes | str) -> RkProfile:
                 raise MalformedLine("expected: le NAME NAME", line=lineno)
             les.append((toks[1], toks[2], lineno))
         elif kw == "il":
-            if len(toks) != 3 or not NAME_RE.match(toks[1]) or not toks[2].isdigit():
+            if len(toks) != 3 or not NAME_RE.match(toks[1]) or not COUNT_RE.match(toks[2]):
                 raise MalformedLine("expected: il NAME COUNT", line=lineno)
             ils.append((toks[1], int(toks[2]), lineno))
         else:

@@ -164,9 +164,12 @@ def decomposition(
     total = 1
     for r in factor_reports:
         total *= r.total
-    assert product_report.prime_count == sum(row[1] for row in table)
-    assert product_report.limit_count == sum(row[2] for row in table)
-    assert product_report.total == total
+    if (
+        product_report.prime_count != sum(row[1] for row in table)
+        or product_report.limit_count != sum(row[2] for row in table)
+        or product_report.total != total
+    ):
+        raise ProfileError("the term table disagrees with the product's counts")
     return ProductDecomposition(factor_reports, product_report, tuple(table))
 
 

@@ -1,0 +1,168 @@
+"""The pruned canonical-form search against the unpruned oracle, and its leaf counts."""
+
+import pytest
+
+from canon_oracle import oracle_canonical_text
+from enum_oracle import iso_by_permutation
+from rkdist import (
+    InvalidProfile,
+    canonical_form,
+    catalog_entries,
+    core,
+    is_isomorphic,
+    make_profile,
+    pareto_product,
+    parse,
+    product_many,
+)
+from rkdist.catalog import BASE_NAMES, get
+
+
+def _search(profile):
+    return core._leaf_search(*core._class_structure(profile))
+
+
+@pytest.mark.parametrize("value", [1, 2, 3])
+def test_matches_oracle_on_every_catalog_entry(value):
+    for entry in catalog_entries():
+        profile = get(entry.name, {p: value for p in entry.parameters})
+        assert canonical_form(profile).canonical_text == oracle_canonical_text(profile), (
+            entry.name
+        )
+
+
+def test_matches_oracle_on_pairwise_base_products(base):
+    for a in BASE_NAMES:
+        for b in BASE_NAMES:
+            profile = pareto_product(base[a], base[b])
+            assert canonical_form(profile).canonical_text == oracle_canonical_text(
+                profile
+            ), (a, b)
+
+
+def test_fig1a_power_6_visits_few_leaves():
+    # 720 automorphisms, so the unpruned search visits 720 leaves
+    profile = product_many([get("fig1a")] * 6)
+    certificates, leaves = _search(profile)
+    assert leaves <= 21
+    assert len(certificates) == 1
+    assert canonical_form(profile).canonical_text == oracle_canonical_text(profile)
+
+
+def test_fig1a_power_8_finishes():
+    # 40320 automorphisms on 256 classes
+    profile = product_many([get("fig1a")] * 8)
+    certificates, leaves = _search(profile)
+    assert leaves <= 36
+    assert len(certificates) == 1
+    text = canonical_form(profile).canonical_text
+    assert canonical_form(parse(text)).canonical_text == text
+
+
+def test_forty_class_antichain_finishes():
+    middle = [f"m{i:02d}" for i in range(40)]
+    pairs = [("bot", m) for m in middle] + [(m, "top") for m in middle]
+    il = {"bot": 0, "top": 1} | {m: 0 for m in middle}
+    profile = make_profile(["bot", "top", *middle], pairs, il)
+    certificates, leaves = _search(profile)
+    assert leaves <= 40 * 41 // 2
+    assert len(certificates) == 1
+
+
+def _layers(edges):
+    """Bottom, top, and lower classes x_i below upper classes y_j for (i, j) in edges."""
+    n = 1 + max(i for i, _ in edges)
+    lower = [f"x{i}" for i in range(n)]
+    upper = [f"y{j}" for j in range(n)]
+    pairs = [("bot", x) for x in lower] + [(y, "top") for y in upper]
+    pairs += [(lower[i], upper[j]) for i, j in edges]
+    il = {"bot": 0, "top": 1} | {v: 0 for v in lower + upper}
+    return make_profile(["bot", "top", *lower, *upper], pairs, il)
+
+
+# Every lower class lies below, and every upper class above, the same number
+# of others, so refinement splits nothing and leaves through different parts
+# of the layer graph have different certificates.
+REGULAR_LAYERS = {
+    # a 4-cycle and an 8-cycle
+    "two_cycles": [(0, 0), (0, 1), (1, 0), (1, 1)]
+    + [(2 + i, 2 + i) for i in range(4)]
+    + [(2 + i, 2 + (i + 1) % 4) for i in range(4)],
+    # three per class: pruning by automorphisms that move the node's
+    # individualized classes would lose one of its certificates
+    "cubic": [
+        (0, 0), (4, 0), (6, 0), (2, 1), (3, 1), (7, 1), (2, 2), (4, 2),
+        (5, 2), (0, 3), (1, 3), (7, 3), (2, 4), (5, 4), (6, 4), (5, 5),
+        (6, 5), (7, 5), (1, 6), (3, 6), (4, 6), (0, 7), (1, 7), (3, 7),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR_LAYERS))
+def test_regular_layers_match_oracle(name):
+    edges = REGULAR_LAYERS[name]
+    profile = _layers(edges)
+    certificates, _ = _search(profile)
+    assert len(certificates) > 1
+    text = canonical_form(profile).canonical_text
+    assert text == oracle_canonical_text(profile)
+    # relabelled copies start their search in other parts of the layer graph
+    n = 1 + max(i for i, _ in edges)
+    for shift in range(1, n):
+        twin = _layers([((i + shift) % n, j) for i, j in edges])
+        assert canonical_form(twin).canonical_text == text
+        assert is_isomorphic(profile, twin) and is_isomorphic(twin, profile)
+
+
+def _two_chains(lower_upper_ils):
+    """Bottom n00 and top n05 with two 2-class chains between them."""
+    names = ["n00", "a1", "a2", "b1", "b2", "n05"]
+    pairs = [("n00", "a1"), ("a1", "a2"), ("a2", "n05"), ("n00", "b1"), ("b1", "b2"), ("b2", "n05")]
+    (a1, a2), (b1, b2) = lower_upper_ils
+    return make_profile(names, pairs, {"n00": 0, "n05": 1, "a1": a1, "a2": a2, "b1": b1, "b2": b2})
+
+
+@pytest.fixture()
+def searches(monkeypatch):
+    calls = []
+    search = core._leaf_search
+
+    def counted(*structure):
+        calls.append(structure)
+        return search(*structure)
+
+    monkeypatch.setattr(core, "_leaf_search", counted)
+    return calls
+
+
+def test_equal_invariants_reach_the_search(searches):
+    p = _two_chains([(0, 0), (1, 1)])
+    q = _two_chains([(0, 1), (1, 0)])
+    assert core._invariants(core._class_structure(p)) == core._invariants(
+        core._class_structure(q)
+    )
+    assert not is_isomorphic(p, q)
+    assert not iso_by_permutation(p, q)
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("fig2.1", "fig2.5"),  # vertex count
+        ("fig1b.2", "fig1b.3"),  # class count
+        ("fig2.2", "fig2.3"),  # initial cell keys
+    ],
+)
+def test_differing_invariants_skip_the_search(searches, a, b):
+    assert not is_isomorphic(get(a), get(b))
+    assert searches == []
+
+
+def test_is_isomorphic_checks_admissibility_before_invariants(searches):
+    bad = make_profile({"a", "b"}, [("a", "b")], {"a": 0, "b": 0})
+    with pytest.raises(InvalidProfile):
+        is_isomorphic(get("fig2.4"), bad)
+    with pytest.raises(InvalidProfile):
+        is_isomorphic(bad, get("fig2.4"))
+    assert searches == []

@@ -223,6 +223,36 @@ def test_parse_error_exits_2(tmp_path):
     assert b"zz" in err
 
 
+@pytest.mark.parametrize("count", ["\u00b2", "\u0661"])
+def test_non_ascii_il_count_exits_2(count):
+    out, err, code = run(["validate", "-"], stdin=f"rkp 1\nvertex a\nil a {count}\n".encode())
+    assert code == 2 and out == b""
+    assert err == b"error: line 3: expected: il NAME COUNT\n"
+
+
+@pytest.mark.parametrize("value", ["\u00b2", "\u0661", "--5", "+5", "1_0"])
+def test_catalog_param_must_be_ascii_integer_exits_2(value):
+    argv = ["catalog", "show", "param.ex11", "--param", f"k={value}", "--param", "m=1"]
+    out, err, code = run(argv)
+    assert code == 2 and out == b""
+    assert err.startswith(b"error: bad --param")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--total", "5", "--max-vertices", "-3"],
+        ["--total", "5", "--max-vertices", "\u0663"],
+        ["--total", "\u0665"],
+        ["--total", "+5"],
+    ],
+)
+def test_enumerate_bad_numbers_exit_2(argv):
+    out, err, code = run(["enumerate", *argv])
+    assert code == 2 and out == b""
+    assert b"error: argument --" in err
+
+
 def test_report_on_inadmissible_exits_1(tmp_path):
     bad = tmp_path / "bad.rkp"
     bad.write_bytes(b"rkp 1\nvertex a\nvertex b\nle a b\nil a 0\nil b 0\n")

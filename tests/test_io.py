@@ -64,6 +64,15 @@ def test_parse_bad_header():
         parse(b"vertex a\nil a 0\n")
 
 
+@pytest.mark.parametrize("count", ["\u00b2", "\u0661", "+1", "1_0", "-1"])
+def test_parse_accepts_only_ascii_digit_counts(count):
+    # "\u00b2" (superscript two) passes str.isdigit but not int();
+    # "\u0661" (Arabic-Indic one) passes both
+    with pytest.raises(MalformedLine) as exc:
+        parse(f"rkp 1\nvertex a\nil a {count}\n")
+    assert exc.value.line == 3
+
+
 def test_parse_malformed_lines_carry_numbers():
     with pytest.raises(MalformedLine) as exc:
         parse(b"rkp 1\nvertex a\nnonsense b\n")

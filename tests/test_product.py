@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from rkdist import (
     EmptyFactorList,
     FactorMismatch,
     NotALattice,
+    ProfileError,
     counts,
     decomposition,
     is_boolean_lattice,
@@ -13,6 +16,7 @@ from rkdist import (
     monotonicity,
     oracle_product,
     pareto_product,
+    product,
     product_many,
     quotient,
     validate_profile,
@@ -122,6 +126,13 @@ def test_decomposition_without_factors():
     dec = decomposition(get("fig1a"))
     assert dec.factor_reports == (counts(get("fig1a")),)
     assert dec.term_table == ((("a",), 1, 0), (("b",), 1, 1))
+
+
+def test_decomposition_raises_when_counts_disagree(monkeypatch):
+    # a real check, not an assert that python -O would strip
+    monkeypatch.setattr(product, "counts", lambda p: replace(counts(p), total=counts(p).total + 1))
+    with pytest.raises(ProfileError, match="term table"):
+        decomposition(pareto_product(get("fig1a"), get("fig1a")), [get("fig1a"), get("fig1a")])
 
 
 def test_decomposition_factor_mismatch():

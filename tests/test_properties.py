@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from canon_oracle import oracle_canonical_text
 from enum_oracle import iso_by_permutation
 from rkdist import (
     Preorder,
@@ -14,6 +15,7 @@ from rkdist import (
     oracle_product,
     pareto_product,
     parse,
+    product_many,
     quotient,
     serialize,
     validate_profile,
@@ -126,6 +128,19 @@ def test_iso_routes_agree_on_relabelings(profile, data):
     twin = _relabeled(profile, {v: f"w{perm[i]}" for i, v in enumerate(vs)})
     assert is_isomorphic(profile, twin)
     assert iso_by_permutation(profile, twin)
+
+
+@given(st.lists(admissible_profiles(), min_size=1, max_size=2), st.data())
+@settings(max_examples=40, deadline=None)
+def test_canonical_form_matches_unpruned_oracle_on_relabelings(factors, data):
+    # products of equal or symmetric factors have automorphisms to prune by
+    profile = product_many(factors)
+    vs = sorted(profile.order.vertices)
+    perm = data.draw(st.permutations(range(len(vs))))
+    twin = _relabeled(profile, {v: f"w{perm[i]}" for i, v in enumerate(vs)})
+    expected = oracle_canonical_text(profile)
+    assert canonical_form(profile).canonical_text == expected
+    assert canonical_form(twin).canonical_text == expected
 
 
 @given(admissible_profiles(), admissible_profiles())
