@@ -35,6 +35,7 @@ from .io import ProfileDocument, parse, render_ascii, render_dot, serialize
 from .product import (
     EmptyFactorList,
     FactorMismatch,
+    NameCollision,
     NotALattice,
     ProductDecomposition,
     decomposition,

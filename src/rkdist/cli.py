@@ -21,7 +21,6 @@ from .core import (
     _require_admissible,
     counts,
     is_isomorphic,
-    quotient,
     validate_profile,
 )
 
@@ -161,8 +160,7 @@ def _cmd_check(args, stdin, out, err) -> int:
         size_flag, limit_flag = product.monotonicity(profile)
         _emit(out, f"size={size_flag} limit={limit_flag}")
         return ExitStatus.OK
-    _require_admissible(profile)
-    q = quotient(profile)
+    q = _require_admissible(profile)
     if args.lattice:
         ok = product.is_lattice(q)
     else:
@@ -287,6 +285,7 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[bytes, bytes, int]:
                 catalog.UnknownParameter,
                 catalog.AdmissibilityViolation,
                 enumeration.InvalidTotal,
+                product.NameCollision,
             ) as exc:
                 _emit(err_buffer, f"error: {exc}")
                 code = ExitStatus.USAGE

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _format
 
@@ -65,8 +66,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 def _relation_masks(
     vertices: Iterable[str], pairs: Iterable[tuple[str, str]]
-) -> tuple[list[str], dict[str, int], list[int]]:
-    """Index the vertices and encode the relation as per-vertex successor bitmasks."""
+) -> tuple[list[str], list[int]]:
+    """Sort the vertices and encode the relation as per-vertex successor bitmasks."""
     names = sorted(vertices)
     for v in names:
         if not isinstance(v, str) or not NAME_RE.match(v):
@@ -80,7 +81,40 @@ def _relation_masks(
             missing = a if ia is None else b
             raise UnknownVertex(f"relation references undeclared vertex {missing!r}")
         succ[ia] |= 1 << ib
-    return names, index, succ
+    return names, succ
+
+
+class _ClassIndex(NamedTuple):
+    """Domination classes by least member, the class of every vertex, and
+    per class the bitmasks of the classes strictly below and above it."""
+
+    sets: tuple[frozenset[str], ...]
+    class_of: dict[str, frozenset[str]]
+    down: tuple[int, ...]
+    up: tuple[int, ...]
+
+
+def _class_index(names: list[str], succ: list[int]) -> _ClassIndex:
+    # A class is first met at its least member, so masks come out in that order.
+    position = [-1] * len(names)
+    masks: list[int] = []
+    for i in range(len(names)):
+        if position[i] < 0:
+            m = 0
+            for j in _bits(succ[i]):
+                if succ[j] >> i & 1:
+                    m |= 1 << j
+                    position[j] = len(masks)
+            masks.append(m)
+    down = [0] * len(masks)
+    up = [0] * len(masks)
+    for a, m in enumerate(masks):
+        for j in _bits(succ[(m & -m).bit_length() - 1] & ~m):
+            up[a] |= 1 << position[j]
+            down[position[j]] |= 1 << a
+    sets = tuple(frozenset(names[j] for j in _bits(m)) for m in masks)
+    class_of = {v: sets[position[i]] for i, v in enumerate(names)}
+    return _ClassIndex(sets, class_of, tuple(down), tuple(up))
 
 
 @dataclass(frozen=True)
@@ -93,7 +127,7 @@ class Preorder:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         object.__setattr__(self, "leq", frozenset(self.leq))
-        names, _, succ = _relation_masks(self.vertices, self.leq)
+        names, succ = self._masks
         for i, v in enumerate(names):
             if not succ[i] >> i & 1:
                 raise ValueError(f"preorder is not reflexive at {v!r}")
@@ -104,6 +138,15 @@ class Preorder:
             if reach & ~succ[i]:
                 raise ValueError("preorder is not transitively closed")
 
+    @cached_property
+    def _masks(self) -> tuple[list[str], list[int]]:
+        """Sorted vertex names and each one's successor bitmask over them."""
+        return _relation_masks(self.vertices, self.leq)
+
+    @cached_property
+    def _classes(self) -> _ClassIndex:
+        return _class_index(*self._masks)
+
     def holds(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
 
@@ -112,7 +155,7 @@ def close_preorder(
     vertices: Iterable[str], generating_pairs: Iterable[tuple[str, str]]
 ) -> Preorder:
     """Least reflexive-transitive relation on the vertices containing the pairs."""
-    names, _, succ = _relation_masks(set(vertices), generating_pairs)
+    names, succ = _relation_masks(set(vertices), generating_pairs)
     n = len(names)
     for i in range(n):
         succ[i] |= 1 << i
@@ -130,21 +173,7 @@ def close_preorder(
 
 def mutual_classes(order: Preorder) -> tuple[frozenset[str], ...]:
     """Domination-equivalence classes (a ~ b iff a leq b and b leq a), sorted by least member."""
-    names, _, succ = _relation_masks(order.vertices, order.leq)
-    n = len(names)
-    pred = [0] * n
-    for i in range(n):
-        for j in _bits(succ[i]):
-            pred[j] |= 1 << i
-    masks: list[int] = []
-    seen: set[int] = set()
-    for i in range(n):
-        m = succ[i] & pred[i]
-        if m not in seen:
-            seen.add(m)
-            masks.append(m)
-    masks.sort(key=lambda m: m & -m)
-    return tuple(frozenset(names[j] for j in _bits(m)) for m in masks)
+    return order._classes.sets
 
 
 @dataclass(frozen=True)
@@ -160,8 +189,7 @@ class RkProfile:
 
     def __post_init__(self) -> None:
         il = {frozenset(k): v for k, v in dict(self.il).items()}
-        classes = set(mutual_classes(self.order))
-        if set(il) != classes:
+        if set(il) != set(self.order._classes.sets):
             raise ValueError("limit counts must cover every domination class exactly once")
         for cls, v in il.items():
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
@@ -170,11 +198,35 @@ class RkProfile:
                 )
         object.__setattr__(self, "il", il)
 
+    @cached_property
+    def _quotient(self) -> QuotientPoset:
+        index = self.order._classes
+        summaries = tuple(ClassSummary(min(s), len(s), self.il[s]) for s in index.sets)
+        members = {c.representative: s for c, s in zip(summaries, index.sets)}
+        return QuotientPoset(summaries, members, index.down, index.up)
+
     def il_of(self, vertex: str) -> int:
-        for cls, v in self.il.items():
-            if vertex in cls:
-                return v
-        raise UnknownVertex(f"no such vertex {vertex!r}")
+        if vertex not in self.order.vertices:
+            raise UnknownVertex(f"no such vertex {vertex!r}")
+        return self.il[self.order._classes.class_of[vertex]]
+
+
+def _label_classes(
+    order: Preorder, names: Sequence[str]
+) -> tuple[list[frozenset[str] | None], int | None, frozenset[str] | None]:
+    """Match limit-count labels on vertices to the order's classes.
+
+    Returns the class of each name (None if undeclared), the index of the
+    first name that is undeclared or whose class an earlier name labelled,
+    and otherwise the first class that no name labels.
+    """
+    classes = [order._classes.class_of.get(v) for v in names]
+    labelled: set[frozenset[str]] = set()
+    for i, cls in enumerate(classes):
+        if cls is None or cls in labelled:
+            return classes, i, None
+        labelled.add(cls)
+    return classes, None, next((c for c in order._classes.sets if c not in labelled), None)
 
 
 def make_profile(
@@ -184,19 +236,15 @@ def make_profile(
 ) -> RkProfile:
     """Close the relation and attach limit counts, each class named exactly once."""
     order = close_preorder(vertices, generating_pairs)
-    cls_of = {v: cls for cls in mutual_classes(order) for v in cls}
-    il: dict[frozenset[str], int] = {}
-    for name, count in il_by_vertex.items():
-        cls = cls_of.get(name)
-        if cls is None:
-            raise UnknownVertex(f"limit count references undeclared vertex {name!r}")
-        if cls in il:
-            raise ValueError(f"class of {name!r} was given two limit counts")
-        il[cls] = count
-    missing = [cls for cls in mutual_classes(order) if cls not in il]
-    if missing:
-        raise ValueError(f"class of {min(missing[0])!r} has no limit count")
-    return RkProfile(order, il)
+    names = list(il_by_vertex)
+    classes, fault, missing = _label_classes(order, names)
+    if fault is not None:
+        if classes[fault] is None:
+            raise UnknownVertex(f"limit count references undeclared vertex {names[fault]!r}")
+        raise ValueError(f"class of {names[fault]!r} was given two limit counts")
+    if missing is not None:
+        raise ValueError(f"class of {min(missing)!r} has no limit count")
+    return RkProfile(order, dict(zip(classes, il_by_vertex.values())))
 
 
 @dataclass(frozen=True)
@@ -208,11 +256,22 @@ class ClassSummary:
 
 @dataclass(frozen=True)
 class QuotientPoset:
-    """The strict partial order of domination classes, with per-class size and limit count."""
+    """The strict partial order of domination classes, with per-class size and limit count.
+
+    Classes come in representative order; ``down[i]`` and ``up[i]`` are the
+    bitmasks of the positions of the classes strictly below and above class i.
+    """
 
     classes: tuple[ClassSummary, ...]
-    below: frozenset[tuple[str, str]]
     members: Mapping[str, frozenset[str]]
+    down: tuple[int, ...]
+    up: tuple[int, ...]
+
+    @cached_property
+    def below(self) -> frozenset[tuple[str, str]]:
+        """Pairs of representatives (x, y) with class x strictly below class y."""
+        reps = [c.representative for c in self.classes]
+        return frozenset((reps[a], reps[b]) for b, d in enumerate(self.down) for a in _bits(d))
 
     def summary(self, representative: str) -> ClassSummary:
         for c in self.classes:
@@ -224,46 +283,40 @@ class QuotientPoset:
         return x == y or (x, y) in self.below
 
     def least(self) -> str | None:
-        reps = [c.representative for c in self.classes]
-        for r in reps:
-            if all(s == r or (r, s) in self.below for s in reps):
-                return r
-        return None
+        """The least class, if any; in a finite poset, the minimal class when it is unique."""
+        minimal = [c.representative for c, d in zip(self.classes, self.down) if not d]
+        return minimal[0] if len(minimal) == 1 else None
 
     def greatest(self) -> str | None:
-        reps = [c.representative for c in self.classes]
-        for r in reps:
-            if all(s == r or (s, r) in self.below for s in reps):
-                return r
-        return None
+        """The greatest class, if any; in a finite poset, the maximal class when it is unique."""
+        maximal = [c.representative for c, u in zip(self.classes, self.up) if not u]
+        return maximal[0] if len(maximal) == 1 else None
+
+    def _cover_positions(self) -> list[tuple[int, int]]:
+        """Hasse cover pairs as sorted (lower, upper) class positions."""
+        return sorted(
+            (a, b) for b, d in enumerate(self.down) for a in _bits(d) if not d & self.up[a]
+        )
 
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Hasse cover pairs: (a, b) with a strictly below b and nothing in between."""
         reps = [c.representative for c in self.classes]
-        out = [
-            (a, b)
-            for a, b in self.below
-            if not any((a, t) in self.below and (t, b) in self.below for t in reps)
-        ]
-        return tuple(sorted(out))
+        return tuple((reps[a], reps[b]) for a, b in self._cover_positions())
+
+    def _linear_extension(self) -> list[int]:
+        """Class positions bottom up, each time the lowest-positioned class that is ready."""
+        order: list[int] = []
+        done = 0
+        while len(order) < len(self.down):
+            i = next(i for i, d in enumerate(self.down) if not (done >> i & 1 or d & ~done))
+            order.append(i)
+            done |= 1 << i
+        return order
 
 
 def quotient(profile: RkProfile) -> QuotientPoset:
     """Collapse mutual domination; class X sits below Y iff its members are dominated by Y's."""
-    order = profile.order
-    summaries = []
-    members: dict[str, frozenset[str]] = {}
-    for cls in mutual_classes(order):
-        rep = min(cls)
-        members[rep] = cls
-        summaries.append(ClassSummary(rep, len(cls), profile.il[cls]))
-    below = frozenset(
-        (a.representative, b.representative)
-        for a in summaries
-        for b in summaries
-        if a is not b and order.holds(a.representative, b.representative)
-    )
-    return QuotientPoset(tuple(summaries), below, members)
+    return profile._quotient
 
 
 @dataclass(frozen=True)
@@ -299,8 +352,7 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
     positive limit count; V6 (informational) the total model count is at
     least 2.
     """
-    q = quotient(profile)
-    reps = [c.representative for c in q.classes]
+    q = profile._quotient
     nverts = len(profile.order.vertices)
     total = nverts + sum(c.limit_count for c in q.classes)
     least = q.least()
@@ -308,7 +360,7 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
     conds: list[ConditionReport] = []
 
     if least is None:
-        minimal = sorted(r for r in reps if not any((s, r) in q.below for s in reps))
+        minimal = [c.representative for c, d in zip(q.classes, q.down) if not d]
         conds.append(
             ConditionReport("V1", False, f"no unique least class (minimal: {', '.join(minimal)})")
         )
@@ -335,7 +387,7 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
             )
 
     if greatest is None:
-        maximal = sorted(r for r in reps if not any((r, s) in q.below for s in reps))
+        maximal = [c.representative for c, u in zip(q.classes, q.up) if not u]
         conds.append(
             ConditionReport("V3", False, f"no unique greatest class (maximal: {', '.join(maximal)})")
         )
@@ -379,12 +431,13 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
     return ValidationReport(tuple(conds))
 
 
-def _require_admissible(profile: RkProfile) -> ValidationReport:
+def _require_admissible(profile: RkProfile) -> QuotientPoset:
+    """The profile's quotient; raises InvalidProfile unless V1-V5 hold."""
     report = validate_profile(profile)
     if not report.admissible:
         failing = [c.code for c in report.conditions if not c.passed and not c.informational]
         raise InvalidProfile("profile fails " + ", ".join(failing))
-    return report
+    return profile._quotient
 
 
 @dataclass(frozen=True)
@@ -400,19 +453,8 @@ class DecompositionReport:
 
 def counts(profile: RkProfile) -> DecompositionReport:
     """Prime, limit and total model counts; class terms in topological order."""
-    _require_admissible(profile)
-    q = quotient(profile)
-    summaries = {c.representative: c for c in q.classes}
-    preds = {
-        r: {a for (a, b) in q.below if b == r} for r in summaries
-    }
-    done: list[str] = []
-    done_set: set[str] = set()
-    while len(done) < len(summaries):
-        ready = sorted(r for r in summaries if r not in done_set and preds[r] <= done_set)
-        done.append(ready[0])
-        done_set.add(ready[0])
-    ordered = tuple(summaries[r] for r in done)
+    q = _require_admissible(profile)
+    ordered = tuple(q.classes[i] for i in q._linear_extension())
     prime = sum(c.size for c in ordered)
     limit = sum(c.limit_count for c in ordered)
     return DecompositionReport(
@@ -433,23 +475,10 @@ class CanonicalProfile:
 
 def _class_structure(profile: RkProfile):
     """Per-class sizes, limit counts, strictly-below/above masks and Hasse cover pairs."""
-    q = quotient(profile)
-    k = len(q.classes)
-    pos = {c.representative: i for i, c in enumerate(q.classes)}
+    q = profile._quotient
     sizes = [c.size for c in q.classes]
     ils = [c.limit_count for c in q.classes]
-    down = [0] * k
-    up = [0] * k
-    for a, b in q.below:
-        down[pos[b]] |= 1 << pos[a]
-        up[pos[a]] |= 1 << pos[b]
-    covers = [
-        (a, b)
-        for b in range(k)
-        for a in _bits(down[b])
-        if not down[b] & up[a]
-    ]
-    return sizes, ils, down, up, covers
+    return sizes, ils, q.down, q.up, q._cover_positions()
 
 
 def _cell_keys(

@@ -17,9 +17,9 @@ from .core import (
     CanonicalProfile,
     ProfileError,
     RkProfile,
+    _bits,
     canonical_form,
     make_profile,
-    validate_profile,
 )
 
 __all__ = ["DEFAULT_TOTAL_CAP", "EnumerationResult", "InvalidTotal", "enumerate_profiles"]
@@ -58,20 +58,13 @@ def _bounded_orders(k: int) -> tuple[tuple[int, ...], ...]:
         # down-set of node j: contains the least node, downward closed
         for sub in range(1 << (j - 1)):
             d = (sub << 1) | 1
-            if all(below[i] & ~d == 0 for i in _iter_bits(d)):
+            if all(below[i] & ~d == 0 for i in _bits(d)):
                 below.append(d)
                 extend(j + 1, below)
                 below.pop()
 
     extend(1, [0])
     return tuple(results)
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _compositions_positive(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -106,7 +99,7 @@ def _build(sizes: tuple[int, ...], below: tuple[int, ...], ils: list[int]) -> Rk
     for i, ms in enumerate(names):
         if len(ms) > 1:
             pairs += [(ms[j], ms[(j + 1) % len(ms)]) for j in range(len(ms))]
-        for i2 in _iter_bits(below[i]):
+        for i2 in _bits(below[i]):
             pairs.append((names[i2][0], ms[0]))
     il_by_vertex = {ms[0]: il for ms, il in zip(names, ils)}
     return make_profile([v for ms in names for v in ms], pairs, il_by_vertex)
@@ -141,9 +134,8 @@ def enumerate_profiles(
                 for below in _bounded_orders(k):
                     for extra in _compositions_nonneg(spare, k - 1):
                         ils = [0] + [floors[i + 1] + extra[i] for i in range(k - 1)]
+                        # Admissible by construction; canonical_form raises if one is not.
                         profile = _build(sizes, below, ils)
-                        if not validate_profile(profile).admissible:
-                            continue
                         cf = canonical_form(profile)
                         found[cf.canonical_text] = cf
     return EnumerationResult(total, tuple(found[t] for t in sorted(found)))

@@ -23,13 +23,14 @@ from dataclasses import dataclass
 from . import _format
 from .core import (
     NAME_RE,
+    ClassSummary,
     ProfileError,
     RkProfile,
     UnknownVertex,
+    _bits,
+    _label_classes,
     _require_admissible,
     close_preorder,
-    mutual_classes,
-    quotient,
 )
 
 __all__ = [
@@ -131,22 +132,16 @@ def parse(text: bytes | str) -> RkProfile:
             raise UnknownVertex(f"line {lineno}: undeclared vertex {name!r}")
 
     order = close_preorder(vertices, [(a, b) for a, b, _ in les])
-    cls_of = {v: cls for cls in mutual_classes(order) for v in cls}
-    il: dict[frozenset[str], int] = {}
-    claimed: dict[frozenset[str], int] = {}
-    for name, count, lineno in ils:
-        cls = cls_of[name]
-        if cls in il:
-            raise DuplicateIl(
-                f"class of {name!r} already has a limit count (line {claimed[cls]})",
-                line=lineno,
-            )
-        il[cls] = count
-        claimed[cls] = lineno
-    missing = [cls for cls in mutual_classes(order) if cls not in il]
-    if missing:
-        raise MissingIl(f"no il declaration for the class of {min(missing[0])!r}")
-    return RkProfile(order, il)
+    classes, fault, missing = _label_classes(order, [name for name, _, _ in ils])
+    if fault is not None:
+        claim = ils[classes.index(classes[fault])][2]
+        raise DuplicateIl(
+            f"class of {ils[fault][0]!r} already has a limit count (line {claim})",
+            line=ils[fault][2],
+        )
+    if missing is not None:
+        raise MissingIl(f"no il declaration for the class of {min(missing)!r}")
+    return RkProfile(order, {cls: count for cls, (_, count, _) in zip(classes, ils)})
 
 
 @dataclass(frozen=True)
@@ -160,14 +155,10 @@ class ProfileDocument:
 
     @classmethod
     def from_profile(cls, profile: RkProfile) -> "ProfileDocument":
-        _require_admissible(profile)
-        q = quotient(profile)
-        reps = [c.representative for c in q.classes]
-        pos = {r: i for i, r in enumerate(reps)}
-        members = [sorted(q.members[r]) for r in reps]
+        q = _require_admissible(profile)
+        members = [sorted(q.members[c.representative]) for c in q.classes]
         ils = [c.limit_count for c in q.classes]
-        covers = [(pos[a], pos[b]) for a, b in q.covers()]
-        return cls(*_format.compose_lines(members, ils, covers))
+        return cls(*_format.compose_lines(members, ils, q._cover_positions()))
 
     def text(self) -> str:
         return self.encode().decode("utf-8")
@@ -183,8 +174,7 @@ def serialize(profile: RkProfile) -> bytes:
 
 def render_dot(profile: RkProfile) -> bytes:
     """Directed-graph document: one node per class, one edge per Hasse cover, bottom to top."""
-    _require_admissible(profile)
-    q = quotient(profile)
+    q = _require_admissible(profile)
     lines = ["digraph rk {", "  rankdir=BT;"]
     for c in q.classes:
         lines.append(
@@ -199,26 +189,15 @@ def render_dot(profile: RkProfile) -> bytes:
 
 def render_ascii(profile: RkProfile) -> bytes:
     """Leveled drawing by longest-chain depth from the least class, bottom line last."""
-    _require_admissible(profile)
-    q = quotient(profile)
-    covers = q.covers()
-    preds: dict[str, list[str]] = {c.representative: [] for c in q.classes}
-    for a, b in covers:
-        preds[b].append(a)
-    depth: dict[str, int] = {}
-    while len(depth) < len(preds):
-        for r, ps in preds.items():
-            if r not in depth and all(p in depth for p in ps):
-                depth[r] = max((depth[p] + 1 for p in ps), default=0)
-    levels: dict[int, list[str]] = {}
-    for c in q.classes:
-        levels.setdefault(depth[c.representative], []).append(c.representative)
-    summary = {c.representative: c for c in q.classes}
-    lines = []
-    for d in sorted(levels, reverse=True):
-        lines.append(
-            " ".join(
-                f"{r}({summary[r].size},{summary[r].limit_count})" for r in sorted(levels[d])
-            )
-        )
+    q = _require_admissible(profile)
+    depth = [0] * len(q.classes)
+    for i in q._linear_extension():
+        depth[i] = max((depth[j] + 1 for j in _bits(q.down[i])), default=0)
+    levels: dict[int, list[ClassSummary]] = {}
+    for c, d in zip(q.classes, depth):
+        levels.setdefault(d, []).append(c)
+    lines = [
+        " ".join(f"{c.representative}({c.size},{c.limit_count})" for c in levels[d])
+        for d in sorted(levels, reverse=True)
+    ]
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -29,6 +29,7 @@ from .core import (
 __all__ = [
     "EmptyFactorList",
     "FactorMismatch",
+    "NameCollision",
     "NotALattice",
     "ProductDecomposition",
     "decomposition",
@@ -49,17 +50,17 @@ class FactorMismatch(ProfileError):
     """The factors' product is not isomorphic to the given profile."""
 
 
+class NameCollision(ProfileError):
+    """Two vertex pairs of a product get the same name; the factors need renaming."""
+
+
 class NotALattice(ProfileError):
     """A lattice-only predicate was applied to a non-lattice quotient."""
 
 
 def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     """Coordinatewise product; class (X, Y) gets limit count Xl*|Y| + |X|*Yl + Xl*Yl."""
-    _require_admissible(a)
-    _require_admissible(b)
-    vertices = frozenset(f"{x}*{y}" for x in a.order.vertices for y in b.order.vertices)
-    if len(vertices) != len(a.order.vertices) * len(b.order.vertices):
-        raise ValueError("vertex name collision in product; rename factor vertices")
+    vertices = _product_vertices(a, b)
     leq = frozenset(
         (f"{x1}*{y1}", f"{x2}*{y2}")
         for (x1, x2) in a.order.leq
@@ -71,6 +72,16 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
             zcls = frozenset(f"{x}*{y}" for x in xcls for y in ycls)
             il[zcls] = xl * len(ycls) + len(xcls) * yl + xl * yl
     return RkProfile(Preorder(vertices, leq), il)
+
+
+def _product_vertices(a: RkProfile, b: RkProfile) -> frozenset[str]:
+    """Names x*y of the product's vertices, once both factors are admissible."""
+    _require_admissible(a)
+    _require_admissible(b)
+    vertices = frozenset(f"{x}*{y}" for x in a.order.vertices for y in b.order.vertices)
+    if len(vertices) != len(a.order.vertices) * len(b.order.vertices):
+        raise NameCollision("vertex name collision in product; rename factor vertices")
+    return vertices
 
 
 def product_many(factors: Sequence[RkProfile]) -> RkProfile:
@@ -93,13 +104,8 @@ def oracle_product(a: RkProfile, b: RkProfile) -> RkProfile:
     count is the number of pairs with at least one limit component, counted
     one pair at a time.  No closed formula is used.
     """
-    _require_admissible(a)
-    _require_admissible(b)
-    vertices = set()
+    vertices = _product_vertices(a, b)
     leq = set()
-    for x in a.order.vertices:
-        for y in b.order.vertices:
-            vertices.add(f"{x}*{y}")
     for x1 in a.order.vertices:
         for x2 in a.order.vertices:
             if not a.order.holds(x1, x2):
@@ -119,7 +125,7 @@ def oracle_product(a: RkProfile, b: RkProfile) -> RkProfile:
                     if tx[0] == "limit" or ty[0] == "limit":
                         limit_pairs += 1
             il[frozenset(f"{x}*{y}" for x in xcls for y in ycls)] = limit_pairs
-    return RkProfile(Preorder(frozenset(vertices), frozenset(leq)), il)
+    return RkProfile(Preorder(vertices, frozenset(leq)), il)
 
 
 @dataclass(frozen=True)
@@ -173,15 +179,9 @@ def decomposition(
     return ProductDecomposition(factor_reports, product_report, tuple(table))
 
 
-def _bound_masks(q: QuotientPoset) -> tuple[list[str], list[int], list[int]]:
-    reps = [c.representative for c in q.classes]
-    pos = {r: i for i, r in enumerate(reps)}
-    up = [1 << i for i in range(len(reps))]
-    down = [1 << i for i in range(len(reps))]
-    for a, b in q.below:
-        up[pos[a]] |= 1 << pos[b]
-        down[pos[b]] |= 1 << pos[a]
-    return reps, up, down
+def _reflexive(strict: tuple[int, ...]) -> list[int]:
+    """Strictly-above (or below) class masks with each class added to its own mask."""
+    return [m | 1 << i for i, m in enumerate(strict)]
 
 
 def _unique_bound(x: int, y: int, vecs: list[int]) -> int | None:
@@ -195,7 +195,7 @@ def _unique_bound(x: int, y: int, vecs: list[int]) -> int | None:
 
 def is_lattice(q: QuotientPoset) -> bool:
     """True iff every pair of classes has a unique join and a unique meet."""
-    _, up, down = _bound_masks(q)
+    up, down = _reflexive(q.up), _reflexive(q.down)
     k = len(up)
     return all(
         _unique_bound(i, j, up) is not None and _unique_bound(i, j, down) is not None
@@ -208,13 +208,12 @@ def is_boolean_lattice(q: QuotientPoset) -> bool:
     """True iff the lattice is distributive and complemented; raises on non-lattices."""
     if not is_lattice(q):
         raise NotALattice("quotient is not a lattice")
-    _, up, down = _bound_masks(q)
+    up, down = _reflexive(q.up), _reflexive(q.down)
     k = len(up)
-    full = (1 << k) - 1
     join = [[_unique_bound(i, j, up) for j in range(k)] for i in range(k)]
     meet = [[_unique_bound(i, j, down) for j in range(k)] for i in range(k)]
-    bottom = next(i for i in range(k) if up[i] == full)
-    top = next(i for i in range(k) if down[i] == full)
+    bottom = next(i for i in range(k) if not q.down[i])
+    top = next(i for i in range(k) if not q.up[i])
     for x in range(k):
         for y in range(k):
             for z in range(k):
@@ -232,16 +231,15 @@ def monotonicity(profile: RkProfile) -> tuple[str, str]:
     comparable pair of classes, weak when it never decreases, none otherwise;
     incomparable classes impose no constraint.
     """
-    _require_admissible(profile)
-    q = quotient(profile)
-    summary = {c.representative: c for c in q.classes}
+    q = _require_admissible(profile)
     size_strict = size_weak = limit_strict = limit_weak = True
-    for a, b in q.below:
-        ca, cb = summary[a], summary[b]
-        size_strict = size_strict and ca.size < cb.size
-        size_weak = size_weak and ca.size <= cb.size
-        limit_strict = limit_strict and ca.limit_count < cb.limit_count
-        limit_weak = limit_weak and ca.limit_count <= cb.limit_count
+    for cb, d in zip(q.classes, q.down):
+        for a in _bits(d):
+            ca = q.classes[a]
+            size_strict = size_strict and ca.size < cb.size
+            size_weak = size_weak and ca.size <= cb.size
+            limit_strict = limit_strict and ca.limit_count < cb.limit_count
+            limit_weak = limit_weak and ca.limit_count <= cb.limit_count
 
     def flag(strict: bool, weak: bool) -> str:
         return "strict" if strict else "weak" if weak else "none"

@@ -282,6 +282,25 @@ def test_stdin_dash(files):
     assert out.decode().splitlines()[0] == "3 = 2 + 1"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "A", "B"],
+        ["oracle", "A", "B"],
+        ["report", "A", "--factor", "A", "--factor", "B"],
+    ],
+    ids=["product", "oracle", "report"],
+)
+def test_product_name_collision_exits_2(tmp_path, argv):
+    # (a)*(b*c) and (a*b)*(c) are both named a*b*c
+    paths = {"A": tmp_path / "a.rkp", "B": tmp_path / "b.rkp"}
+    paths["A"].write_bytes(b"rkp 1\nvertex a\nvertex a*b\nle a a*b\nil a 0\nil a*b 1\n")
+    paths["B"].write_bytes(b"rkp 1\nvertex c\nvertex b*c\nle c b*c\nil c 0\nil b*c 1\n")
+    out, err, code = run([str(paths.get(arg, arg)) for arg in argv])
+    assert code == 2 and out == b""
+    assert err == b"error: vertex name collision in product; rename factor vertices\n"
+
+
 def test_help_exits_0():
     out, err, code = run(["--help"])
     assert code == 0

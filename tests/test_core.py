@@ -1,5 +1,6 @@
 import pytest
 
+from rkdist import core
 from rkdist import (
     InvalidProfile,
     Preorder,
@@ -14,7 +15,7 @@ from rkdist import (
     validate_profile,
 )
 from rkdist.catalog import chain_profile, get
-from rkdist.io import parse
+from rkdist.io import parse, render_ascii, render_dot, serialize
 
 
 def test_close_preorder_reflexive_only():
@@ -220,3 +221,38 @@ def test_quotient_sizes_sum_to_vertex_count(base):
     for profile in base.values():
         q = quotient(profile)
         assert sum(c.size for c in q.classes) == len(profile.order.vertices)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_profile(
+            ["a", "b", "c", "d"],
+            [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")],
+            {"a": 0, "b": 1, "d": 1},
+        ),
+        lambda: parse(
+            b"rkp 1\nvertex a\nvertex b\nvertex c\nvertex d\n"
+            b"le a b\nle b c\nle c b\nle c d\nil a 0\nil b 1\nil d 1\n"
+        ),
+    ],
+    ids=["make_profile", "parse"],
+)
+def test_class_index_is_derived_once_per_profile(monkeypatch, build):
+    built = []
+    original = core._class_index
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core, "_class_index", counting)
+    p = build()
+    validate_profile(p)
+    counts(p)
+    assert quotient(p) is quotient(p)
+    canonical_form(p)
+    serialize(p)
+    render_dot(p)
+    render_ascii(p)
+    assert len(built) == 1

@@ -92,6 +92,15 @@ def test_oracle_product_single_vertices():
     assert limit_multiset(p) == [0]
 
 
+@pytest.mark.parametrize("multiply", [pareto_product, oracle_product])
+def test_products_reject_colliding_vertex_names(multiply):
+    # (a)*(b*c) and (a*b)*(c) are both named a*b*c
+    a = make_profile(["a", "a*b"], [("a", "a*b")], {"a": 0, "a*b": 1})
+    b = make_profile(["c", "b*c"], [("c", "b*c")], {"c": 0, "b*c": 1})
+    with pytest.raises(product.NameCollision, match="vertex name collision"):
+        multiply(a, b)
+
+
 def test_oracle_product_example_7():
     p = oracle_product(get("fig1b.1"), get("fig2.3"))
     assert limit_multiset(p) == [0, 0, 2, 2, 2, 8]

@@ -8,6 +8,7 @@ from rkdist import (
     Preorder,
     RkProfile,
     canonical_form,
+    close_preorder,
     counts,
     is_isomorphic,
     make_profile,
@@ -20,6 +21,7 @@ from rkdist import (
     serialize,
     validate_profile,
 )
+from rkdist.core import mutual_classes
 
 FLAG_RANK = {"none": 0, "weak": 1, "strict": 2}
 
@@ -163,3 +165,46 @@ def test_monotonicity_transfer(a, b):
     for f in (fa, fb):
         assert FLAG_RANK[f[0]] >= FLAG_RANK[ps]
         assert FLAG_RANK[f[1]] >= FLAG_RANK[pl]
+
+
+@st.composite
+def random_profiles(draw):
+    """Any preorder on up to six vertices, admissible or not, with random limit counts."""
+    names = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=6, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=8))
+    order = close_preorder(names, pairs)
+    return RkProfile(order, {cls: draw(st.integers(0, 2)) for cls in mutual_classes(order)})
+
+
+def _brute_quotient(profile):
+    """Representatives, strict order, least, greatest, covers and bottom-up order, from leq."""
+    leq = profile.order.leq
+    vs = profile.order.vertices
+    reps = sorted({min(u for u in vs if (u, v) in leq and (v, u) in leq) for v in vs})
+    below = {(x, y) for x in reps for y in reps if x != y and (x, y) in leq}
+    least = next((r for r in reps if all(r == s or (r, s) in below for s in reps)), None)
+    greatest = next((r for r in reps if all(r == s or (s, r) in below for s in reps)), None)
+    covers = sorted(
+        (x, y) for x, y in below if not any((x, t) in below and (t, y) in below for t in reps)
+    )
+    bottom_up = []
+    while len(bottom_up) < len(reps):
+        ready = [
+            r for r in reps
+            if r not in bottom_up and all(x in bottom_up for x, y in below if y == r)
+        ]
+        bottom_up.append(ready[0])
+    return reps, below, least, greatest, covers, bottom_up
+
+
+@given(st.one_of(random_profiles(), admissible_profiles()))
+@settings(max_examples=150, deadline=None)
+def test_class_masks_agree_with_brute_force(profile):
+    reps, below, least, greatest, covers, bottom_up = _brute_quotient(profile)
+    q = quotient(profile)
+    assert [c.representative for c in q.classes] == reps
+    assert q.below == below
+    assert q.least() == least and q.greatest() == greatest
+    assert list(q.covers()) == covers
+    if validate_profile(profile).admissible:
+        assert [c.representative for c in counts(profile).classes] == bottom_up
