@@ -138,7 +138,10 @@ def _cmd_catalog(args, stdin, out, err) -> int:
         key, sep, value = item.partition("=")
         if not sep or not key or not INTEGER_RE.match(value):
             raise _Usage(f"bad --param {item!r}, expected NAME=INTEGER")
-        params[key] = int(value)
+        try:
+            params[key] = int(value)
+        except ValueError:  # beyond the interpreter's limit on digits
+            raise _Usage(f"bad --param {key}=..., the integer has too many digits") from None
     profile = catalog.get(args.name, params)
     _write_out(io.serialize(profile), args.output, out)
     return ExitStatus.OK

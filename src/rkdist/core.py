@@ -254,6 +254,11 @@ class ClassSummary:
     limit_count: int
 
 
+def _cover_pairs(down: Sequence[int], up: Sequence[int]) -> list[tuple[int, int]]:
+    """Sorted (lower, upper) positions with lower strictly below upper and nothing in between."""
+    return sorted((a, b) for b, d in enumerate(down) for a in _bits(d) if not d & up[a])
+
+
 @dataclass(frozen=True)
 class QuotientPoset:
     """The strict partial order of domination classes, with per-class size and limit count.
@@ -294,9 +299,7 @@ class QuotientPoset:
 
     def _cover_positions(self) -> list[tuple[int, int]]:
         """Hasse cover pairs as sorted (lower, upper) class positions."""
-        return sorted(
-            (a, b) for b, d in enumerate(self.down) for a in _bits(d) if not d & self.up[a]
-        )
+        return _cover_pairs(self.down, self.up)
 
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Hasse cover pairs: (a, b) with a strictly below b and nothing in between."""
@@ -429,6 +432,28 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
         )
     )
     return ValidationReport(tuple(conds))
+
+
+def _failed_conditions(
+    sizes: Sequence[int], ils: Sequence[int], down: Sequence[int], up: Sequence[int]
+) -> list[str]:
+    """Codes of the conditions V1-V5 that fail, read straight off class masks."""
+    minimal = [i for i, d in enumerate(down) if not d]
+    maximal = [i for i, u in enumerate(up) if not u]
+    least = minimal[0] if len(minimal) == 1 else None
+    greatest = maximal[0] if len(maximal) == 1 else None
+    failed = []
+    if least is None:
+        failed.append("V1")
+    if least is None or sizes[least] != 1 or ils[least] != 0:
+        failed.append("V2")
+    if greatest is None:
+        failed.append("V3")
+    if sum(sizes) > 1 and (greatest is None or ils[greatest] < 1):
+        failed.append("V4")
+    if any(s > 1 and il < 1 for s, il in zip(sizes, ils)):
+        failed.append("V5")
+    return failed
 
 
 def _require_admissible(profile: RkProfile) -> QuotientPoset:
@@ -692,15 +717,19 @@ def _document(cert: _Certificate, cw: int, mw: int) -> bytes:
     return _format.document_bytes(*_format.compose_lines(members, list(ils), list(covers)))
 
 
+def _least_document(certificates: list[_Certificate]) -> bytes:
+    """The least document over the leaf certificates of one profile: its canonical bytes."""
+    sizes = certificates[0][0]
+    cw = max(2, len(str(len(sizes) - 1)))
+    mw = max(2, len(str(max(sizes) - 1)))
+    return min(_document(cert, cw, mw) for cert in certificates)
+
+
 def canonical_form(profile: RkProfile) -> CanonicalProfile:
     """Relabel by a canonical class ordering and serialize; minimum over leaf certificates."""
     _require_admissible(profile)
-    structure = _class_structure(profile)
-    sizes = structure[0]
-    cw = max(2, len(str(len(sizes) - 1)))
-    mw = max(2, len(str(max(sizes) - 1)))
-    certificates, _ = _leaf_search(*structure)
-    return CanonicalProfile(min(_document(cert, cw, mw) for cert in certificates))
+    certificates, _ = _leaf_search(*_class_structure(profile))
+    return CanonicalProfile(_least_document(certificates))
 
 
 def _invariants(structure) -> tuple[int, int, list[tuple[int, int, int, int]]]:

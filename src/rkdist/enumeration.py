@@ -1,10 +1,16 @@
 """Enumeration, up to isomorphism, of all admissible profiles with a given total.
 
 "Admissible" means V1-V5; no claim of realizability by an actual theory is
-made.  Generation walks vertex budgets, class-size compositions, bounded
-naturally-labeled strict orders on the classes (least and greatest pruned
-during generation), and limit-count assignments; duplicates collapse through
-the canonical form.
+made.  Generation works on integers from start to finish.  The quotient
+posets are the bounded posets on k classes, each generated once up to
+isomorphism by adding one element at a time (Brinkmann and McKay, "Posets on
+up to 16 points", 2002).  On every such poset, each composition of the
+vertex budget into class sizes (the least class a singleton) and each
+limit-count vector is a candidate, given as class masks; its V1-V5 conditions
+are checked on the masks.  Isomorphic candidates have the same set of leaf
+certificates in the canonical search and equal certificates mean isomorphic
+profiles, so candidates collapse on their least certificate.  Canonical
+documents are built only for the survivors.
 """
 
 from __future__ import annotations
@@ -15,11 +21,14 @@ from typing import Iterator
 
 from .core import (
     CanonicalProfile,
+    InvalidProfile,
     ProfileError,
-    RkProfile,
     _bits,
-    canonical_form,
-    make_profile,
+    _Certificate,
+    _cover_pairs,
+    _failed_conditions,
+    _leaf_search,
+    _least_document,
 )
 
 __all__ = ["DEFAULT_TOTAL_CAP", "EnumerationResult", "InvalidTotal", "enumerate_profiles"]
@@ -39,32 +48,39 @@ class EnumerationResult:
     profiles: tuple[CanonicalProfile, ...]
 
 
+def _shape(down: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[tuple[int, int]]]:
+    """A poset's strictly-below masks, strictly-above masks and cover pairs."""
+    up = [0] * len(down)
+    for b, d in enumerate(down):
+        for a in _bits(d):
+            up[a] |= 1 << b
+    return down, up, _cover_pairs(down, up)
+
+
 @functools.lru_cache(maxsize=None)
-def _bounded_orders(k: int) -> tuple[tuple[int, ...], ...]:
-    """Strict orders on 0..k-1, naturally labeled, node 0 least and node k-1 greatest.
+def _bounded_posets(k: int) -> tuple[tuple[int, ...], ...]:
+    """Bounded posets on 0..k-1 up to isomorphism, as tuples of strictly-below masks.
 
-    Each order is a tuple of strictly-below masks.  Naturally labeled means
-    the identity is a linear extension, which every bounded poset admits, so
-    every isomorphism class shows up at least once.
+    Element 0 is least, element k-1 greatest, and the identity is a linear
+    extension.  For k >= 3 each poset on k - 1 elements gets a new element
+    just below the top, whose down-set is any down-closed set containing the
+    bottom.  Every bounded poset arises so, since removing a maximal element
+    below the top leaves a bounded poset.  Isomorphic results collapse on
+    their least leaf certificate with uniform sizes and limit counts.
     """
-    if k == 1:
-        return ((0,),)
-    results: list[tuple[int, ...]] = []
-
-    def extend(j: int, below: list[int]) -> None:
-        if j == k - 1:
-            results.append((*below, (1 << (k - 1)) - 1))
-            return
-        # down-set of node j: contains the least node, downward closed
-        for sub in range(1 << (j - 1)):
-            d = (sub << 1) | 1
-            if all(below[i] & ~d == 0 for i in _bits(d)):
-                below.append(d)
-                extend(j + 1, below)
-                below.pop()
-
-    extend(1, [0])
-    return tuple(results)
+    if k <= 2:
+        return ((0,),) if k == 1 else ((0, 1),)
+    top = (1 << (k - 1)) - 1
+    found: dict[_Certificate, tuple[int, ...]] = {}
+    for smaller in _bounded_posets(k - 1):
+        inner = smaller[:-1]
+        for sub in range(1 << (k - 3)):
+            d = sub << 1 | 1
+            if all(not inner[i] & ~d for i in _bits(d)):
+                down = (*inner, d, top)
+                certificates, _ = _leaf_search([1] * k, [0] * k, *_shape(down))
+                found.setdefault(min(certificates), down)
+    return tuple(found.values())
 
 
 def _compositions_positive(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -89,22 +105,6 @@ def _compositions_nonneg(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _build(sizes: tuple[int, ...], below: tuple[int, ...], ils: list[int]) -> RkProfile:
-    names: list[list[str]] = []
-    counter = 0
-    for s in sizes:
-        names.append([f"v{counter + j:02d}" for j in range(s)])
-        counter += s
-    pairs: list[tuple[str, str]] = []
-    for i, ms in enumerate(names):
-        if len(ms) > 1:
-            pairs += [(ms[j], ms[(j + 1) % len(ms)]) for j in range(len(ms))]
-        for i2 in _bits(below[i]):
-            pairs.append((names[i2][0], ms[0]))
-    il_by_vertex = {ms[0]: il for ms, il in zip(names, ils)}
-    return make_profile([v for ms in names for v in ms], pairs, il_by_vertex)
-
-
 def enumerate_profiles(
     total: int,
     max_vertices: int | None = None,
@@ -116,26 +116,31 @@ def enumerate_profiles(
     if total > cap:
         raise InvalidTotal(f"total {total} exceeds the cap {cap}; raise cap= to override")
     nmax = total if max_vertices is None else min(total, max_vertices)
-    found: dict[bytes, CanonicalProfile] = {}
-    for n in range(1, nmax + 1):
+    # least certificate -> canonical document of the first candidate with it
+    found: dict[_Certificate, bytes] = {}
+    # A single class would be a lone vertex with limit count 0 (V2), total 1.
+    for n in range(2, nmax + 1):
         budget = total - n
-        for k in range(1, n + 1):
-            if k == 1:
-                # single class: V2 forces a lone vertex with limit count 0, total 1
-                continue
-            for sizes in _compositions_positive(n, k):
-                if sizes[0] != 1:
-                    continue
-                floors = [0] + [1 if s > 1 else 0 for s in sizes[1:]]
+        for k in range(2, n + 1):
+            shapes = None
+            for rest in _compositions_positive(n - 1, k - 1):
+                sizes = (1, *rest)
+                floors = [0] + [1 if s > 1 else 0 for s in rest]
                 floors[k - 1] = max(floors[k - 1], 1)
                 spare = budget - sum(floors)
                 if spare < 0:
                     continue
-                for below in _bounded_orders(k):
+                if shapes is None:
+                    shapes = [_shape(down) for down in _bounded_posets(k)]
+                for down, up, covers in shapes:
                     for extra in _compositions_nonneg(spare, k - 1):
-                        ils = [0] + [floors[i + 1] + extra[i] for i in range(k - 1)]
-                        # Admissible by construction; canonical_form raises if one is not.
-                        profile = _build(sizes, below, ils)
-                        cf = canonical_form(profile)
-                        found[cf.canonical_text] = cf
-    return EnumerationResult(total, tuple(found[t] for t in sorted(found)))
+                        ils = (0, *(f + e for f, e in zip(floors[1:], extra)))
+                        # Admissible by construction; raise if a candidate is not.
+                        failed = _failed_conditions(sizes, ils, down, up)
+                        if failed:
+                            raise InvalidProfile("profile fails " + ", ".join(failed))
+                        certificates, _ = _leaf_search(sizes, ils, down, up, covers)
+                        key = min(certificates)
+                        if key not in found:
+                            found[key] = _least_document(certificates)
+    return EnumerationResult(total, tuple(CanonicalProfile(d) for d in sorted(found.values())))

@@ -119,7 +119,11 @@ def parse(text: bytes | str) -> RkProfile:
         elif kw == "il":
             if len(toks) != 3 or not NAME_RE.match(toks[1]) or not COUNT_RE.match(toks[2]):
                 raise MalformedLine("expected: il NAME COUNT", line=lineno)
-            ils.append((toks[1], int(toks[2]), lineno))
+            try:
+                count = int(toks[2])
+            except ValueError:  # beyond the interpreter's limit on digits
+                raise MalformedLine("limit count has too many digits", line=lineno) from None
+            ils.append((toks[1], count, lineno))
         else:
             raise MalformedLine(f"unknown statement {kw!r}", line=lineno)
 

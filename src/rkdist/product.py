@@ -184,34 +184,38 @@ def _reflexive(strict: tuple[int, ...]) -> list[int]:
     return [m | 1 << i for i, m in enumerate(strict)]
 
 
-def _unique_bound(x: int, y: int, vecs: list[int]) -> int | None:
-    """Index of the least upper (or greatest lower) bound of x, y along vecs, if any."""
-    common = vecs[x] & vecs[y]
-    for t in _bits(common):
-        if not common & ~vecs[t]:
-            return t
-    return None
+def _bound_table(vecs: list[int]) -> list[list[int | None]]:
+    """Per pair of classes, the class whose mask is the pair's common mask, if any.
+
+    On reflexive down (or up) masks that class is the pair's greatest lower
+    (or least upper) bound: the common lower bounds form a down-set, and a
+    class is their greatest exactly when its own down-set is that set.
+    """
+    at = {m: t for t, m in enumerate(vecs)}
+    return [[at.get(a & b) for b in vecs] for a in vecs]
 
 
 def is_lattice(q: QuotientPoset) -> bool:
-    """True iff every pair of classes has a unique join and a unique meet."""
-    up, down = _reflexive(q.up), _reflexive(q.down)
-    k = len(up)
-    return all(
-        _unique_bound(i, j, up) is not None and _unique_bound(i, j, down) is not None
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
+    """True iff every pair of classes has a unique join and a unique meet.
+
+    A finite poset with a greatest class is a lattice once every pair has a
+    meet: the join of x and y is the meet of their common upper bounds, of
+    which the greatest class is one.
+    """
+    if q.greatest() is None:
+        return False
+    down = _reflexive(q.down)
+    at = set(down)
+    return all(a & b in at for i, a in enumerate(down) for b in down[i + 1 :])
 
 
 def is_boolean_lattice(q: QuotientPoset) -> bool:
     """True iff the lattice is distributive and complemented; raises on non-lattices."""
-    if not is_lattice(q):
+    join = _bound_table(_reflexive(q.up))
+    meet = _bound_table(_reflexive(q.down))
+    if any(None in row for row in join) or any(None in row for row in meet):
         raise NotALattice("quotient is not a lattice")
-    up, down = _reflexive(q.up), _reflexive(q.down)
-    k = len(up)
-    join = [[_unique_bound(i, j, up) for j in range(k)] for i in range(k)]
-    meet = [[_unique_bound(i, j, down) for j in range(k)] for i in range(k)]
+    k = len(join)
     bottom = next(i for i in range(k) if not q.down[i])
     top = next(i for i in range(k) if not q.up[i])
     for x in range(k):

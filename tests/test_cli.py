@@ -230,6 +230,20 @@ def test_non_ascii_il_count_exits_2(count):
     assert err == b"error: line 3: expected: il NAME COUNT\n"
 
 
+def test_validate_count_beyond_digit_limit_exits_2(digit_limit):
+    doc = f"rkp 1\nvertex a\nil a {'1' * (digit_limit + 700)}\n".encode()
+    out, err, code = run(["validate", "-"], doc)
+    assert code == 2 and out == b""
+    assert err == b"error: line 3: limit count has too many digits\n"
+
+
+def test_catalog_param_beyond_digit_limit_exits_2(digit_limit):
+    argv = ["catalog", "show", "param.chain2", "--param", "k=" + "1" * (digit_limit + 700)]
+    out, err, code = run(argv)
+    assert code == 2 and out == b""
+    assert err == b"error: bad --param k=..., the integer has too many digits\n"
+
+
 @pytest.mark.parametrize("value", ["\u00b2", "\u0661", "--5", "+5", "1_0"])
 def test_catalog_param_must_be_ascii_integer_exits_2(value):
     argv = ["catalog", "show", "param.ex11", "--param", f"k={value}", "--param", "m=1"]

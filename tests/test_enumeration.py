@@ -1,9 +1,14 @@
+import functools
+import itertools
+
 import pytest
 
 from enum_oracle import naive_enumerate
-from rkdist import canonical_form, counts, validate_profile
+from labelled_enum import labelled_enumerate
+from rkdist import InvalidProfile, canonical_form, counts, make_profile, validate_profile
+from rkdist import enumeration
 from rkdist.catalog import get
-from rkdist.enumeration import InvalidTotal, enumerate_profiles
+from rkdist.enumeration import InvalidTotal, _bounded_posets, enumerate_profiles
 from rkdist.io import parse
 
 
@@ -84,3 +89,110 @@ def test_agrees_with_naive_oracle_small_totals():
         assert {cf.canonical_text for cf in main.profiles} == {
             canonical_form(p).canonical_text for p in oracle
         }, total
+
+
+@functools.lru_cache(maxsize=None)
+def _labelled(total, max_vertices=None):
+    return labelled_enumerate(total, max_vertices)
+
+
+@pytest.mark.parametrize("total", range(2, 9))
+def test_matches_labelled_route(total):
+    # equal dataclasses: the same canonical bytes in the same order
+    assert enumerate_profiles(total) == _labelled(total)
+
+
+@pytest.mark.parametrize("total", range(2, 9))
+def test_max_vertices_cuts_match_labelled_route(total):
+    for m in range(0, 7):
+        assert enumerate_profiles(total, max_vertices=m) == _labelled(total, m), m
+
+
+def test_counts_up_to_total_10():
+    counts_by_total = [len(enumerate_profiles(t).profiles) for t in range(2, 11)]
+    assert counts_by_total == [0, 1, 3, 8, 23, 76, 291, 1336, 7525]
+
+
+def test_bounded_poset_counts():
+    # unlabelled posets on k - 2 points (OEIS A000112)
+    assert [len(_bounded_posets(k)) for k in range(1, 10)] == [1, 1, 1, 2, 5, 16, 63, 318, 2045]
+
+
+def _is_bounded_poset(down):
+    k = len(down)
+    return (
+        down[0] == 0
+        and down[k - 1] == (1 << (k - 1)) - 1
+        and all(not d >> i & 1 and d < 1 << i for i, d in enumerate(down))  # strict, natural
+        and all(not down[j] & ~d for d in down for j in range(k) if d >> j & 1)  # transitive
+    )
+
+
+def _relabelled(down, perm):
+    out = [0] * len(down)
+    for b, d in enumerate(down):
+        for a in range(len(down)):
+            if d >> a & 1:
+                out[perm[b]] |= 1 << perm[a]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bounded_posets_are_pairwise_non_isomorphic(k):
+    posets = _bounded_posets(k)
+    assert all(_is_bounded_poset(d) for d in posets)
+    seen = set()
+    for down in posets:
+        images = {_relabelled(down, p) for p in itertools.permutations(range(k))}
+        assert not images & seen
+        seen |= images
+
+
+def test_inadmissible_candidate_raises(monkeypatch):
+    # three classes with two maximal ones: V3 and V4 fail, so no candidate may pass silently
+    monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: ((0, 1, 1),) if k == 3 else ())
+    with pytest.raises(InvalidProfile, match="V3"):
+        enumerate_profiles(5)
+
+
+# A 4-cycle and an 8-cycle of lower and upper classes between a bottom and a
+# top: refinement splits nothing, so where the canonical search starts, and
+# with it its first leaf, depends on the labelling.
+TWO_CYCLES = [(0, 0), (0, 1), (1, 0), (1, 1)] + [
+    (2 + i, 2 + j) for i in range(4) for j in (i, (i + 1) % 4)
+]
+
+
+def _two_cycles_poset(shift):
+    """Strictly-below masks: bottom 0, lower classes 1..6 (shifted), upper 7..12, top 13."""
+    down = [0] + [1] * 6 + [1] * 6 + [(1 << 13) - 1]
+    for i, j in TWO_CYCLES:
+        down[7 + j] |= 1 << (1 + (i + shift) % 6)
+    return tuple(down)
+
+
+def test_isomorphic_candidates_collapse_whatever_their_first_leaf(monkeypatch):
+    copies = (_two_cycles_poset(0), _two_cycles_poset(1))
+    monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: copies if k == 14 else ())
+    # 14 singleton classes and one limit model on the top: one candidate per copy
+    result = enumerate_profiles(15, max_vertices=14, cap=15)
+    lower = [f"x{i}" for i in range(6)]
+    upper = [f"y{j}" for j in range(6)]
+    pairs = [("bot", x) for x in lower] + [(y, "top") for y in upper]
+    pairs += [(lower[i], upper[j]) for i, j in TWO_CYCLES]
+    il = {"bot": 0, "top": 1} | {v: 0 for v in lower + upper}
+    expected = canonical_form(make_profile(["bot", "top", *lower, *upper], pairs, il))
+    assert result.profiles == (expected,)
+
+
+def test_augmentations_of_isomorphic_posets_collapse(monkeypatch):
+    # drop the last upper class; the shifted copy is isomorphic through the lower classes
+    def smaller(shift):
+        down = _two_cycles_poset(shift)
+        return (*down[:12], (1 << 12) - 1)
+
+    generate = _bounded_posets.__wrapped__
+    monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: (smaller(0),))
+    once = generate(14)
+    monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: (smaller(0), smaller(1)))
+    assert len(generate(14)) == len(once)

@@ -73,6 +73,15 @@ def test_parse_accepts_only_ascii_digit_counts(count):
     assert exc.value.line == 3
 
 
+def test_parse_count_beyond_digit_limit_is_malformed(digit_limit):
+    long_count = "1" * (digit_limit + 700)
+    with pytest.raises(MalformedLine, match="too many digits") as exc:
+        parse(f"rkp 1\nvertex a\nil a {long_count}\n")
+    assert exc.value.line == 3
+    # a count within the limit is still read exactly
+    assert parse(f"rkp 1\nvertex a\nil a {'1' * digit_limit}\n").il_of("a") == int("1" * digit_limit)
+
+
 def test_parse_malformed_lines_carry_numbers():
     with pytest.raises(MalformedLine) as exc:
         parse(b"rkp 1\nvertex a\nnonsense b\n")

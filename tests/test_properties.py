@@ -1,5 +1,6 @@
 """Algebraic invariants checked over randomly generated admissible profiles."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from canon_oracle import oracle_canonical_text
@@ -10,7 +11,9 @@ from rkdist import (
     canonical_form,
     close_preorder,
     counts,
+    is_boolean_lattice,
     is_isomorphic,
+    is_lattice,
     make_profile,
     monotonicity,
     oracle_product,
@@ -21,7 +24,8 @@ from rkdist import (
     serialize,
     validate_profile,
 )
-from rkdist.core import mutual_classes
+from rkdist.core import _failed_conditions, mutual_classes
+from rkdist.product import NotALattice
 
 FLAG_RANK = {"none": 0, "weak": 1, "strict": 2}
 
@@ -208,3 +212,70 @@ def test_class_masks_agree_with_brute_force(profile):
     assert list(q.covers()) == covers
     if validate_profile(profile).admissible:
         assert [c.representative for c in counts(profile).classes] == bottom_up
+
+
+@given(st.one_of(random_profiles(), admissible_profiles()))
+@settings(max_examples=150, deadline=None)
+def test_mask_conditions_agree_with_validation_report(profile):
+    q = quotient(profile)
+    sizes = [c.size for c in q.classes]
+    ils = [c.limit_count for c in q.classes]
+    report = validate_profile(profile)
+    expected = [c.code for c in report.conditions if not c.passed and not c.informational]
+    assert _failed_conditions(sizes, ils, q.down, q.up) == expected
+
+
+def _oracle_bound(x, y, vecs):
+    """Least upper (or greatest lower) bound of x and y by scanning their common bounds."""
+    common = vecs[x] & vecs[y]
+    for t in range(len(vecs)):
+        if common >> t & 1 and not common & ~vecs[t]:
+            return t
+    return None
+
+
+def _oracle_lattice_tables(q):
+    """Join and meet of every pair, or None when some pair lacks one (all-pairs definition)."""
+    up = [m | 1 << i for i, m in enumerate(q.up)]
+    down = [m | 1 << i for i, m in enumerate(q.down)]
+    k = len(up)
+    join = [[_oracle_bound(i, j, up) for j in range(k)] for i in range(k)]
+    meet = [[_oracle_bound(i, j, down) for j in range(k)] for i in range(k)]
+    if any(None in row for row in join + meet):
+        return None
+    return join, meet
+
+
+def _oracle_is_boolean(q, join, meet):
+    k = len(join)
+    bottom = next(i for i in range(k) if not q.down[i])
+    top = next(i for i in range(k) if not q.up[i])
+    distributive = all(
+        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        for x in range(k)
+        for y in range(k)
+        for z in range(k)
+    )
+    complemented = all(
+        any(meet[x][y] == bottom and join[x][y] == top for y in range(k)) for x in range(k)
+    )
+    return distributive and complemented
+
+
+@given(
+    st.one_of(
+        random_profiles(),
+        admissible_profiles(),
+        st.lists(admissible_profiles(), min_size=2, max_size=2).map(product_many),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_lattice_checks_agree_with_all_pairs_definition(profile):
+    q = quotient(profile)
+    tables = _oracle_lattice_tables(q)
+    assert is_lattice(q) == (tables is not None)
+    if tables is None:
+        with pytest.raises(NotALattice):
+            is_boolean_lattice(q)
+    else:
+        assert is_boolean_lattice(q) == _oracle_is_boolean(q, *tables)
