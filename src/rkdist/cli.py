@@ -295,6 +295,16 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[bytes, bytes, int]:
             except (InvalidProfile, product.FactorMismatch) as exc:
                 _emit(err_buffer, f"error: {exc}")
                 code = ExitStatus.CHECK_FAILED
+            except ValueError as exc:
+                # Counts add up and multiply in products past the interpreter's
+                # limit on the digits str(int) writes; any other ValueError is a bug.
+                if "integer string conversion" not in str(exc):
+                    raise
+                out.seek(0)
+                out.truncate()
+                limit = sys.get_int_max_str_digits()
+                _emit(err_buffer, f"error: a count has more than {limit} digits, too many to write")
+                code = ExitStatus.USAGE
     finally:
         out_text.flush()
         err_text.flush()

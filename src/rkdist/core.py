@@ -151,6 +151,21 @@ class Preorder:
         return (a, b) in self.leq
 
 
+def _closed_preorder(names: list[str], succ: list[int]) -> Preorder:
+    """The Preorder whose sorted names and successor masks these are, already closed.
+
+    The masks become the cached ``_masks``, so neither the re-derivation from
+    ``leq`` nor the reflexivity and transitivity checks run again.
+    """
+    order = object.__new__(Preorder)
+    object.__setattr__(order, "vertices", frozenset(names))
+    object.__setattr__(
+        order, "leq", frozenset((v, names[j]) for v, s in zip(names, succ) for j in _bits(s))
+    )
+    order.__dict__["_masks"] = (names, succ)
+    return order
+
+
 def close_preorder(
     vertices: Iterable[str], generating_pairs: Iterable[tuple[str, str]]
 ) -> Preorder:
@@ -165,10 +180,7 @@ def close_preorder(
         for i in range(n):
             if succ[i] & bit:
                 succ[i] |= row
-    leq = frozenset(
-        (names[i], names[j]) for i in range(n) for j in _bits(succ[i])
-    )
-    return Preorder(frozenset(names), leq)
+    return _closed_preorder(names, succ)
 
 
 def mutual_classes(order: Preorder) -> tuple[frozenset[str], ...]:
@@ -515,35 +527,60 @@ def _cell_keys(
     ]
 
 
-def _refine(cells: list[list[int]], down: list[int], up: list[int]) -> list[list[int]]:
-    """Equitable refinement: split cells by how many members of each cell lie below/above."""
-    cells = [list(c) for c in cells]
-    while True:
+def _refine(
+    cells: list[list[int]], down: list[int], up: list[int], fresh: Sequence[int] | None = None
+) -> list[list[int]]:
+    """Equitable refinement: split cells by how many members of each cell lie below/above.
+
+    Each pass splits every cell by its members' signatures, their (below,
+    above) counts against each cell in position order, and puts the pieces
+    in increasing signature order; passes repeat until no cell splits.
+
+    Only the columns of the fresh cells are computed.  Every other column is
+    constant inside each cell, so it changes neither the grouping nor the
+    order of the pieces.  That holds for a cell that the previous pass did
+    not split, since that pass grouped by it, and, when ``fresh`` is given,
+    for every cell but the pieces of one split cell of an equitable
+    partition, as after individualization.  None means every cell is fresh,
+    as at the root.  Of the pieces of a split cell, the last is not fresh
+    either: inside a cell its counts are the old cell's constant counts minus
+    those of the pieces just before it, so members that tie on the earlier
+    columns tie on it.  No earlier piece may be dropped instead: its column
+    is not a function of the columns before it, so dropping it can merge
+    pieces or change their order.
+    """
+    width = len(down).bit_length()
+    fresh = range(len(cells)) if fresh is None else fresh
+    while fresh:
         masks = []
-        for c in cells:
+        for i in fresh:
             m = 0
-            for e in c:
+            for e in cells[i]:
                 m |= 1 << e
             masks.append(m)
         new_cells: list[list[int]] = []
-        changed = False
+        fresh = []
         for c in cells:
             if len(c) == 1:
                 new_cells.append(c)
                 continue
-            groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
+            # Fixed-width counts, so numeric order is the order of the count tuples.
+            groups: dict[int, list[int]] = {}
             for e in c:
-                sig = tuple(
-                    ((down[e] & m).bit_count(), (up[e] & m).bit_count()) for m in masks
-                )
+                d, u = down[e], up[e]
+                sig = 0
+                for m in masks:
+                    sig = ((sig << width | (d & m).bit_count()) << width) | (u & m).bit_count()
                 groups.setdefault(sig, []).append(e)
-            if len(groups) > 1:
-                changed = True
+            if len(groups) == 1:
+                new_cells.append(c)
+                continue
             for sig in sorted(groups):
+                fresh.append(len(new_cells))
                 new_cells.append(groups[sig])
+            fresh.pop()
         cells = new_cells
-        if not changed:
-            return cells
+    return cells
 
 
 # Class sizes and limit counts in leaf order, and the cover pairs relabelled to
@@ -582,9 +619,9 @@ def _target(cells: list[list[int]]) -> int | None:
 def _individualize(
     cells: list[list[int]], t: int, e: int, down: list[int], up: list[int]
 ) -> list[list[int]]:
-    """Split e off cell t, just before the rest of the cell, and refine."""
+    """Split e off cell t of an equitable partition, just before the rest of the cell; refine."""
     rest = [x for x in cells[t] if x != e]
-    return _refine(cells[:t] + [[e], rest] + cells[t + 1 :], down, up)
+    return _refine(cells[:t] + [[e], rest] + cells[t + 1 :], down, up, [t])
 
 
 @dataclass
@@ -623,12 +660,14 @@ def _leaf_search(
     down: list[int],
     up: list[int],
     covers: list[tuple[int, int]],
+    cells: list[list[int]] | None = None,
 ) -> tuple[list[_Certificate], int]:
     """Distinct leaf certificates of the individualization-refinement tree, and leaves visited.
 
-    The root is the refined partition into initial cells; a node's children
-    individualize, in increasing order, each member of its first non-singleton
-    cell, then refine.  The walk is depth first, with an explicit stack.
+    The root is the refined partition into initial cells (``cells`` when the
+    caller has it already); a node's children individualize, in increasing
+    order, each member of its first non-singleton cell, then refine.  The
+    walk is depth first, with an explicit stack.
     A leaf whose certificate was seen before gives an automorphism (the map
     from the earlier leaf order to this one), and the walk backjumps to the
     deepest common ancestor of the two leaves, since the rest of the current
@@ -639,7 +678,8 @@ def _leaf_search(
     skipped, so every certificate of the whole tree is found (McKay and
     Piperno, "Practical graph isomorphism, II", 2014).
     """
-    cells = _root_cells(sizes, ils, down, up)
+    if cells is None:
+        cells = _root_cells(sizes, ils, down, up)
     # certificate -> (leaf order, individualized class per level) of its first leaf
     seen: dict[_Certificate, tuple[list[int], list[int]]] = {}
     generators: list[list[int]] = []
@@ -700,9 +740,12 @@ def _first_leaf(
     down: list[int],
     up: list[int],
     covers: list[tuple[int, int]],
+    cells: list[list[int]],
 ) -> _Certificate:
-    """_Certificate of the search tree's first leaf: always individualize the least class."""
-    cells = _root_cells(sizes, ils, down, up)
+    """_Certificate of the search tree's first leaf below the root ``cells``.
+
+    Always individualize the least class.
+    """
     while (t := _target(cells)) is not None:
         cells = _individualize(cells, t, min(cells[t]), down, up)
     return _certificate([c[0] for c in cells], sizes, ils, covers)
@@ -737,19 +780,29 @@ def _invariants(structure) -> tuple[int, int, list[tuple[int, int, int, int]]]:
     return sum(sizes), len(sizes), sorted(_cell_keys(sizes, ils, down, up))
 
 
+def _root_shape(structure, cells: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
+    """(initial cell key, size) of each root cell in order; isomorphic profiles agree on it."""
+    keys = _cell_keys(*structure[:4])
+    return [(keys[c[0]], len(c)) for c in cells]
+
+
 def is_isomorphic(a: RkProfile, b: RkProfile) -> bool:
     """True iff the profiles are isomorphic as IL-labeled preorders.
 
-    Profiles whose vertex count, class count or initial cell keys differ are
-    told apart without a search.
+    Profiles whose vertex count, class count, initial cell keys or refined
+    root partitions differ are told apart without a search.
     """
     _require_admissible(a)
     _require_admissible(b)
     sa, sb = _class_structure(a), _class_structure(b)
     if _invariants(sa) != _invariants(sb):
         return False
+    # Refinement is isomorphism-invariant, and the search starts from these cells.
+    ra, rb = _root_cells(*sa[:4]), _root_cells(*sb[:4])
+    if _root_shape(sa, ra) != _root_shape(sb, rb):
+        return False
     # Isomorphic profiles have the same certificates over their whole search
     # trees, and equal certificates mean equal relabelled structures, so one
     # leaf of b decides.
-    certificates, _ = _leaf_search(*sa)
-    return _first_leaf(*sb) in certificates
+    certificates, _ = _leaf_search(*sa, ra)
+    return _first_leaf(*sb, rb) in certificates

@@ -20,6 +20,7 @@ from .core import (
     QuotientPoset,
     RkProfile,
     _bits,
+    _closed_preorder,
     _require_admissible,
     counts,
     is_isomorphic,
@@ -60,28 +61,39 @@ class NotALattice(ProfileError):
 
 def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     """Coordinatewise product; class (X, Y) gets limit count Xl*|Y| + |X|*Yl + Xl*Yl."""
-    vertices = _product_vertices(a, b)
-    leq = frozenset(
-        (f"{x1}*{y1}", f"{x2}*{y2}")
-        for (x1, x2) in a.order.leq
-        for (y1, y2) in b.order.leq
-    )
+    names = _product_names(a, b)
+    sa = a.order._masks[1]
+    sb = b.order._masks[1]
+    # Pair (i, j) sits at i*w + j, so its successors, the pairs of successors,
+    # are copies of sb[j] (below 2**w) shifted to every successor of i: a product.
+    w = len(sb)
+    spread = [sum(1 << i * w for i in _bits(s)) for s in sa]
+    succ = [t * s for t in spread for s in sb]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    if order != list(range(len(names))):  # a factor name with "*" can break pair order
+        rank = [0] * len(order)
+        for r, p in enumerate(order):
+            rank[p] = r
+        sorted_succ = [0] * len(order)
+        for p, m in enumerate(succ):
+            sorted_succ[rank[p]] = sum(1 << rank[q] for q in _bits(m))
+        names, succ = [names[p] for p in order], sorted_succ
     il = {}
     for xcls, xl in a.il.items():
         for ycls, yl in b.il.items():
             zcls = frozenset(f"{x}*{y}" for x in xcls for y in ycls)
             il[zcls] = xl * len(ycls) + len(xcls) * yl + xl * yl
-    return RkProfile(Preorder(vertices, leq), il)
+    return RkProfile(_closed_preorder(names, succ), il)
 
 
-def _product_vertices(a: RkProfile, b: RkProfile) -> frozenset[str]:
-    """Names x*y of the product's vertices, once both factors are admissible."""
+def _product_names(a: RkProfile, b: RkProfile) -> list[str]:
+    """Names x*y of the product's vertices in factor name order; both factors must be admissible."""
     _require_admissible(a)
     _require_admissible(b)
-    vertices = frozenset(f"{x}*{y}" for x in a.order.vertices for y in b.order.vertices)
-    if len(vertices) != len(a.order.vertices) * len(b.order.vertices):
+    names = [f"{x}*{y}" for x in a.order._masks[0] for y in b.order._masks[0]]
+    if len(set(names)) != len(names):
         raise NameCollision("vertex name collision in product; rename factor vertices")
-    return vertices
+    return names
 
 
 def product_many(factors: Sequence[RkProfile]) -> RkProfile:
@@ -104,7 +116,7 @@ def oracle_product(a: RkProfile, b: RkProfile) -> RkProfile:
     count is the number of pairs with at least one limit component, counted
     one pair at a time.  No closed formula is used.
     """
-    vertices = _product_vertices(a, b)
+    vertices = frozenset(_product_names(a, b))
     leq = set()
     for x1 in a.order.vertices:
         for x2 in a.order.vertices:
@@ -184,17 +196,6 @@ def _reflexive(strict: tuple[int, ...]) -> list[int]:
     return [m | 1 << i for i, m in enumerate(strict)]
 
 
-def _bound_table(vecs: list[int]) -> list[list[int | None]]:
-    """Per pair of classes, the class whose mask is the pair's common mask, if any.
-
-    On reflexive down (or up) masks that class is the pair's greatest lower
-    (or least upper) bound: the common lower bounds form a down-set, and a
-    class is their greatest exactly when its own down-set is that set.
-    """
-    at = {m: t for t, m in enumerate(vecs)}
-    return [[at.get(a & b) for b in vecs] for a in vecs]
-
-
 def is_lattice(q: QuotientPoset) -> bool:
     """True iff every pair of classes has a unique join and a unique meet.
 
@@ -210,21 +211,24 @@ def is_lattice(q: QuotientPoset) -> bool:
 
 
 def is_boolean_lattice(q: QuotientPoset) -> bool:
-    """True iff the lattice is distributive and complemented; raises on non-lattices."""
-    join = _bound_table(_reflexive(q.up))
-    meet = _bound_table(_reflexive(q.down))
-    if any(None in row for row in join) or any(None in row for row in meet):
+    """True iff the lattice is Boolean; raises on non-lattices.
+
+    A finite lattice is Boolean iff mapping each class to the set of atoms
+    below it is a bijection onto all sets of atoms that reflects the order.
+    The map preserves the order, so a class's down-set lies inside the
+    classes whose atoms are among its own, 2**(its atoms) of them under a
+    bijection; the order is reflected exactly when the two have equal sizes.
+    """
+    if not is_lattice(q):
         raise NotALattice("quotient is not a lattice")
-    k = len(join)
-    bottom = next(i for i in range(k) if not q.down[i])
-    top = next(i for i in range(k) if not q.up[i])
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
-                    return False
-    return all(
-        any(meet[x][y] == bottom and join[x][y] == top for y in range(k)) for x in range(k)
+    down = _reflexive(q.down)
+    bottom = 1 << q.down.index(0)
+    atoms = sum(1 << i for i, d in enumerate(q.down) if d == bottom)
+    below = [d & atoms for d in down]
+    return (
+        len(down) == 1 << atoms.bit_count()
+        and len(set(below)) == len(down)
+        and all(d.bit_count() == 1 << a.bit_count() for d, a in zip(down, below))
     )
 
 

@@ -1,9 +1,13 @@
 """The pruned canonical-form search against the unpruned oracle, and its leaf counts."""
 
-import pytest
+import random
 
-from canon_oracle import oracle_canonical_text
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from canon_oracle import full_refine, initial_cells, oracle_canonical_text
 from enum_oracle import iso_by_permutation
+from test_properties import admissible_profiles
 from rkdist import (
     InvalidProfile,
     canonical_form,
@@ -47,6 +51,82 @@ def test_fig1a_power_6_visits_few_leaves():
     assert leaves <= 21
     assert len(certificates) == 1
     assert canonical_form(profile).canonical_text == oracle_canonical_text(profile)
+
+
+def test_diamond_power_4_matches_oracle():
+    # 384 automorphisms on 256 classes; the oracle takes about 10 s
+    profile = product_many([get("fig2.8")] * 4)
+    assert canonical_form(profile).canonical_text == oracle_canonical_text(profile)
+
+
+def _refinements_agree(profile, rng):
+    """The library's root and its cells after each individualization along one random
+    path equal full passes of the oracle's refinement over the same cells."""
+    sizes, ils, down, up, _ = core._class_structure(profile)
+    cells = core._root_cells(sizes, ils, down, up)
+    assert cells == full_refine(initial_cells(sizes, ils, down, up), down, up)
+    while (t := core._target(cells)) is not None:
+        e = rng.choice(cells[t])
+        rest = [x for x in cells[t] if x != e]
+        expected = full_refine(cells[:t] + [[e], rest] + cells[t + 1 :], down, up)
+        cells = core._individualize(cells, t, e, down, up)
+        assert cells == expected
+
+
+@st.composite
+def bounded_posets(draw, most):
+    """Bottom, top and up to ``most`` singleton classes between them under random relations.
+
+    Limit counts 0 and 1 leave large initial cells, so refinement does the
+    splitting; in products of them it goes several passes deep.
+    """
+    k = draw(st.integers(1, most))
+    middle = [f"m{i:02d}" for i in range(k)]
+    pairs = [("bot", m) for m in middle] + [(m, "top") for m in middle]
+    pairs += [(x, y) for i, x in enumerate(middle) for y in middle[i + 1 :] if draw(st.booleans())]
+    il = {"bot": 0, "top": 1} | {m: draw(st.integers(0, 1)) for m in middle}
+    return make_profile(["bot", "top", *middle], pairs, il)
+
+
+@st.composite
+def matching_layers(draw):
+    """_layers over the union of up to four random perfect matchings: near-regular,
+    so individualization rather than the initial cells splits the layers."""
+    n = draw(st.integers(2, 10))
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    return _layers(sorted({(i, p[i]) for p in perms for i in range(n)}))
+
+
+@given(
+    st.one_of(
+        admissible_profiles(),
+        st.lists(admissible_profiles(), min_size=2, max_size=2).map(product_many),
+        bounded_posets(12),
+        st.lists(bounded_posets(4), min_size=2, max_size=3).map(product_many),
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_refinement_matches_full_passes(profile, rng):
+    _refinements_agree(profile, rng)
+
+
+@given(matching_layers(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_refinement_matches_full_passes_on_layers(profile, rng):
+    _refinements_agree(profile, rng)
+
+
+def test_refinement_matches_full_passes_on_base_products(base):
+    rng = random.Random(5)
+    names = sorted(BASE_NAMES)
+    for i, a in enumerate(names):
+        for b in names[i:]:
+            for c in ("fig1a", "fig2.8", "fig2.6"):
+                _refinements_agree(product_many([base[a], base[b], base[c]]), rng)
+    for profile in (_layers(REGULAR_LAYERS["cubic"]), product_many([get("fig2.8")] * 3)):
+        for _ in range(5):
+            _refinements_agree(profile, rng)
 
 
 def test_fig1a_power_8_finishes():
@@ -144,6 +224,19 @@ def test_equal_invariants_reach_the_search(searches):
     assert not is_isomorphic(p, q)
     assert not iso_by_permutation(p, q)
     assert len(searches) == 1
+
+
+def test_differing_refined_roots_skip_the_search(searches):
+    # same degree sequences, so the same initial cells; in q a degree-2 lower
+    # class lies below a degree-1 upper class, which splits its cell
+    p = _layers([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
+    q = _layers([(0, 0), (0, 1), (1, 1), (1, 2), (2, 0)])
+    sp, sq = core._class_structure(p), core._class_structure(q)
+    assert core._invariants(sp) == core._invariants(sq)
+    assert len(core._root_cells(*sp[:4])) < len(core._root_cells(*sq[:4]))
+    assert not is_isomorphic(p, q) and not is_isomorphic(q, p)
+    assert not iso_by_permutation(p, q)
+    assert searches == []
 
 
 @pytest.mark.parametrize(

@@ -237,6 +237,30 @@ def test_validate_count_beyond_digit_limit_exits_2(digit_limit):
     assert err == b"error: line 3: limit count has too many digits\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "{big}", "{big}"],
+        ["product", "{big}", "{big}", "-o", "{out}"],
+        ["report", "{wide}"],
+    ],
+)
+def test_counts_beyond_digit_limit_exit_2(tmp_path, digit_limit, argv):
+    # a product's top class has about twice the digits of the factors' tops
+    big = tmp_path / "big.rkp"
+    big.write_bytes(f"rkp 1\nvertex a\nvertex b\nle a b\nil a 0\nil b {'1' * 3000}\n".encode())
+    # each count fits, their sum does not
+    nines = "9" * digit_limit
+    wide = tmp_path / "wide.rkp"
+    chain = "rkp 1\nvertex a\nvertex b\nvertex c\nle a b\nle b c\nil a 0\n"
+    wide.write_bytes(f"{chain}il b {nines}\nil c {nines}\n".encode())
+    out_path = tmp_path / "out.rkp"
+    out, err, code = run([a.format(big=big, wide=wide, out=out_path) for a in argv])
+    assert code == 2 and out == b""
+    assert err == f"error: a count has more than {digit_limit} digits, too many to write\n".encode()
+    assert not out_path.exists()
+
+
 def test_catalog_param_beyond_digit_limit_exits_2(digit_limit):
     argv = ["catalog", "show", "param.chain2", "--param", "k=" + "1" * (digit_limit + 700)]
     out, err, code = run(argv)

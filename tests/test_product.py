@@ -21,7 +21,8 @@ from rkdist import (
     quotient,
     validate_profile,
 )
-from rkdist.catalog import chain_profile, get
+from lattice_oracle import boolean_by_tables, lattice_tables
+from rkdist.catalog import BASE_NAMES, chain_profile, get
 
 SINGLE = chain_profile([0])
 
@@ -190,6 +191,30 @@ def test_is_boolean_lattice_cube_true():
 
 def test_is_boolean_lattice_chain_false():
     assert not is_boolean_lattice(quotient(chain_profile([0, 0, 1])))
+
+
+def test_is_boolean_lattice_matches_oracle_on_products(base):
+    profiles = [pareto_product(base[a], base[b]) for a in BASE_NAMES for b in BASE_NAMES]
+    profiles += [product_many([get("fig1a")] * n) for n in (1, 2, 3, 4)]
+    profiles += [product_many([get("fig2.8")] * 2), NON_LATTICE]
+    verdicts = set()
+    for profile in profiles:
+        q = quotient(profile)
+        tables = lattice_tables(q)
+        if tables is None:
+            with pytest.raises(NotALattice):
+                is_boolean_lattice(q)
+        else:
+            verdicts.add(is_boolean_lattice(q))
+            assert is_boolean_lattice(q) == boolean_by_tables(q, *tables)
+    assert verdicts == {True, False}
+
+
+def test_is_boolean_lattice_on_256_classes():
+    # fig1a^8 is the cube on 8 atoms; the k**3 definition takes seconds here
+    q = quotient(product_many([get("fig1a")] * 8))
+    assert is_boolean_lattice(q)
+    assert not is_boolean_lattice(quotient(product_many([get("fig1a")] * 7 + [get("fig1b.3")])))
 
 
 def test_is_boolean_lattice_grid_false():

@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from canon_oracle import oracle_canonical_text
 from enum_oracle import iso_by_permutation
+from lattice_oracle import boolean_by_tables as _oracle_is_boolean
+from lattice_oracle import lattice_tables as _oracle_lattice_tables
 from rkdist import (
     Preorder,
     RkProfile,
@@ -24,7 +26,7 @@ from rkdist import (
     serialize,
     validate_profile,
 )
-from rkdist.core import _failed_conditions, mutual_classes
+from rkdist.core import _failed_conditions, _relation_masks, mutual_classes
 from rkdist.product import NotALattice
 
 FLAG_RANK = {"none": 0, "weak": 1, "strict": 2}
@@ -180,6 +182,19 @@ def random_profiles(draw):
     return RkProfile(order, {cls: draw(st.integers(0, 2)) for cls in mutual_classes(order)})
 
 
+@given(random_profiles(), admissible_profiles(), admissible_profiles())
+@settings(max_examples=100, deadline=None)
+def test_seeded_masks_equal_rederived_masks(profile, a, b):
+    # "b", "b*a", "b*a*a", ... keep their order, but "b*a*c0m0" sorts before
+    # "b*c0m0", so the product's names are not in factor pair order
+    starred = _relabeled(a, {v: "b" + "*a" * i for i, v in enumerate(sorted(a.order.vertices))})
+    products = [pareto_product(a, b), pareto_product(starred, b)]
+    for order in [profile.order] + [p.order for p in products]:
+        assert order._masks == _relation_masks(order.vertices, order.leq)
+        assert Preorder(order.vertices, order.leq) == order
+    assert products[1] == oracle_product(starred, b)
+
+
 def _brute_quotient(profile):
     """Representatives, strict order, least, greatest, covers and bottom-up order, from leq."""
     leq = profile.order.leq
@@ -223,43 +238,6 @@ def test_mask_conditions_agree_with_validation_report(profile):
     report = validate_profile(profile)
     expected = [c.code for c in report.conditions if not c.passed and not c.informational]
     assert _failed_conditions(sizes, ils, q.down, q.up) == expected
-
-
-def _oracle_bound(x, y, vecs):
-    """Least upper (or greatest lower) bound of x and y by scanning their common bounds."""
-    common = vecs[x] & vecs[y]
-    for t in range(len(vecs)):
-        if common >> t & 1 and not common & ~vecs[t]:
-            return t
-    return None
-
-
-def _oracle_lattice_tables(q):
-    """Join and meet of every pair, or None when some pair lacks one (all-pairs definition)."""
-    up = [m | 1 << i for i, m in enumerate(q.up)]
-    down = [m | 1 << i for i, m in enumerate(q.down)]
-    k = len(up)
-    join = [[_oracle_bound(i, j, up) for j in range(k)] for i in range(k)]
-    meet = [[_oracle_bound(i, j, down) for j in range(k)] for i in range(k)]
-    if any(None in row for row in join + meet):
-        return None
-    return join, meet
-
-
-def _oracle_is_boolean(q, join, meet):
-    k = len(join)
-    bottom = next(i for i in range(k) if not q.down[i])
-    top = next(i for i in range(k) if not q.up[i])
-    distributive = all(
-        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
-        for x in range(k)
-        for y in range(k)
-        for z in range(k)
-    )
-    complemented = all(
-        any(meet[x][y] == bottom and join[x][y] == top for y in range(k)) for x in range(k)
-    )
-    return distributive and complemented
 
 
 @given(
