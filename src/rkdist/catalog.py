@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .core import ProfileError, RkProfile, close_preorder
+from .core import ProfileError, RkProfile, make_profile
 from .product import pareto_product
 
 __all__ = [
@@ -75,8 +75,8 @@ def chain_profile(limit_counts: list[int]) -> RkProfile:
     if len(levels) > 1 and levels[-1] < 1:
         raise AdmissibilityViolation("the top level must have a positive limit count")
     names = _names(len(levels))
-    order = close_preorder(names, [(names[i], names[i + 1]) for i in range(len(names) - 1)])
-    return RkProfile(order, {frozenset({n}): c for n, c in zip(names, levels)})
+    pairs = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
+    return make_profile(names, pairs, dict(zip(names, levels)))
 
 
 def least_plus_class(class_size: int, class_limit: int) -> RkProfile:
@@ -89,27 +89,19 @@ def least_plus_class(class_size: int, class_limit: int) -> RkProfile:
     least, members = names[0], names[1:]
     pairs = [(least, members[0])]
     pairs += [(members[i], members[(i + 1) % len(members)]) for i in range(len(members))]
-    order = close_preorder(names, pairs)
-    return RkProfile(order, {frozenset({least}): 0, frozenset(members): class_limit})
+    return make_profile(names, pairs, {least: 0, members[0]: class_limit})
 
 
 def _stacked_two_class() -> RkProfile:
     # singleton, singleton, then a 2-element top class (limit counts 0, 0, 1)
-    order = close_preorder(
-        ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "c")]
-    )
-    return RkProfile(
-        order,
-        {frozenset({"a"}): 0, frozenset({"b"}): 0, frozenset({"c", "d"}): 1},
-    )
+    pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "c")]
+    return make_profile("abcd", pairs, {"a": 0, "b": 0, "c": 1})
 
 
 def _diamond4() -> RkProfile:
     # four singleton classes in a diamond (limit counts 0, 0, 0, 1)
-    order = close_preorder(
-        ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
-    )
-    return RkProfile(order, {frozenset({v}): 0 for v in "abc"} | {frozenset({"d"}): 1})
+    pairs = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+    return make_profile("abcd", pairs, {"a": 0, "b": 0, "c": 0, "d": 1})
 
 
 def _ex11(k: int, m: int) -> RkProfile:

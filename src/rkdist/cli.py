@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import enum
+import functools
 import io as _io
 import re
 import sys
@@ -29,6 +30,10 @@ __all__ = ["ExitStatus", "main", "run"]
 
 # ASCII only: int() also takes other scripts' digits, "_" and "+".
 INTEGER_RE = re.compile(r"-?[0-9]+\Z")
+
+# The most model-token pairs `oracle` may enumerate, the product of the
+# factors' totals; README gives the measured cost.
+ORACLE_BUDGET = 1000
 
 
 class ExitStatus(enum.IntEnum):
@@ -111,6 +116,10 @@ def _cmd_product(args, stdin, out, err) -> int:
 def _cmd_oracle(args, stdin, out, err) -> int:
     a = _load(args.file_a, stdin)
     b = _load(args.file_b, stdin)
+    if counts(a).total * counts(b).total > ORACLE_BUDGET:
+        raise _Usage(
+            f"the factors' totals multiply to more than {ORACLE_BUDGET}, the oracle's budget"
+        )
     pareto = product.pareto_product(a, b)
     oracle = product.oracle_product(a, b)
     _emit(out, f"pareto {_equation(counts(pareto))}")
@@ -195,7 +204,9 @@ def _nonnegative_integer(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rkdist",
         description="Countable-model distribution calculus over finite Rudin-Keisler preorders.",
@@ -276,16 +287,11 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[bytes, bytes, int]:
                 code = int(args.func(args, stdin, out, err_buffer))
             except SystemExit as exc:  # argparse usage errors and --help
                 code = int(exc.code or 0)
-            except _Usage as exc:
-                _emit(err_buffer, f"error: {exc}")
-                code = ExitStatus.USAGE
-            except (io.ParseError, UnknownVertex) as exc:
-                _emit(err_buffer, f"error: {exc}")
-                code = ExitStatus.USAGE
             except (
-                catalog.UnknownEntry,
-                catalog.MissingParameter,
-                catalog.UnknownParameter,
+                _Usage,
+                io.ParseError,
+                UnknownVertex,
+                catalog.CatalogError,
                 catalog.AdmissibilityViolation,
                 enumeration.InvalidTotal,
                 product.NameCollision,

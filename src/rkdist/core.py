@@ -64,9 +64,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _least(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _relation_masks(
     vertices: Iterable[str], pairs: Iterable[tuple[str, str]]
-) -> tuple[list[str], list[int]]:
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Sort the vertices and encode the relation as per-vertex successor bitmasks."""
     names = sorted(vertices)
     for v in names:
@@ -81,24 +85,25 @@ def _relation_masks(
             missing = a if ia is None else b
             raise UnknownVertex(f"relation references undeclared vertex {missing!r}")
         succ[ia] |= 1 << ib
-    return names, succ
+    return tuple(names), tuple(succ)
 
 
 class _ClassIndex(NamedTuple):
-    """Domination classes by least member, the class of every vertex, and
-    per class the bitmasks of the classes strictly below and above it."""
+    """Domination classes by least member: each one's member mask and the
+    masks of the classes strictly below and above it; and the class position
+    of every vertex."""
 
-    sets: tuple[frozenset[str], ...]
-    class_of: dict[str, frozenset[str]]
+    masks: tuple[int, ...]
+    position: tuple[int, ...]
     down: tuple[int, ...]
     up: tuple[int, ...]
 
 
-def _class_index(names: list[str], succ: list[int]) -> _ClassIndex:
+def _class_index(succ: Sequence[int]) -> _ClassIndex:
     # A class is first met at its least member, so masks come out in that order.
-    position = [-1] * len(names)
+    position = [-1] * len(succ)
     masks: list[int] = []
-    for i in range(len(names)):
+    for i in range(len(succ)):
         if position[i] < 0:
             m = 0
             for j in _bits(succ[i]):
@@ -109,25 +114,25 @@ def _class_index(names: list[str], succ: list[int]) -> _ClassIndex:
     down = [0] * len(masks)
     up = [0] * len(masks)
     for a, m in enumerate(masks):
-        for j in _bits(succ[(m & -m).bit_length() - 1] & ~m):
+        for j in _bits(succ[_least(m)] & ~m):
             up[a] |= 1 << position[j]
             down[position[j]] |= 1 << a
-    sets = tuple(frozenset(names[j] for j in _bits(m)) for m in masks)
-    class_of = {v: sets[position[i]] for i, v in enumerate(names)}
-    return _ClassIndex(sets, class_of, tuple(down), tuple(up))
+    return _ClassIndex(tuple(masks), tuple(position), tuple(down), tuple(up))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Preorder:
-    """A finite reflexive transitive relation; ``(a, b) in leq`` reads "a is dominated by b"."""
+    """A finite reflexive transitive relation; ``(a, b) in leq`` reads "a is dominated by b".
 
-    vertices: frozenset[str]
-    leq: frozenset[tuple[str, str]]
+    Stored as the sorted vertex names and, per name, the bitmask of the names
+    that dominate it; ``vertices`` and ``leq`` are derived from them on demand.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "leq", frozenset(self.leq))
-        names, succ = self._masks
+    names: tuple[str, ...]
+    succ: tuple[int, ...]
+
+    def __init__(self, vertices: Iterable[str], leq: Iterable[tuple[str, str]]) -> None:
+        names, succ = _relation_masks(frozenset(vertices), leq)
         for i, v in enumerate(names):
             if not succ[i] >> i & 1:
                 raise ValueError(f"preorder is not reflexive at {v!r}")
@@ -137,32 +142,36 @@ class Preorder:
                 reach |= succ[j]
             if reach & ~succ[i]:
                 raise ValueError("preorder is not transitively closed")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "succ", succ)
+
+    @property
+    def _masks(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        """The two stored fields as one pair, the form ``_relation_masks`` returns."""
+        return self.names, self.succ
 
     @cached_property
-    def _masks(self) -> tuple[list[str], list[int]]:
-        """Sorted vertex names and each one's successor bitmask over them."""
-        return _relation_masks(self.vertices, self.leq)
+    def vertices(self) -> frozenset[str]:
+        return frozenset(self.names)
+
+    @cached_property
+    def leq(self) -> frozenset[tuple[str, str]]:
+        names = self.names
+        return frozenset((v, names[j]) for v, s in zip(names, self.succ) for j in _bits(s))
 
     @cached_property
     def _classes(self) -> _ClassIndex:
-        return _class_index(*self._masks)
+        return _class_index(self.succ)
 
     def holds(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
 
 
-def _closed_preorder(names: list[str], succ: list[int]) -> Preorder:
-    """The Preorder whose sorted names and successor masks these are, already closed.
-
-    The masks become the cached ``_masks``, so neither the re-derivation from
-    ``leq`` nor the reflexivity and transitivity checks run again.
-    """
+def _closed_preorder(names: Sequence[str], succ: Sequence[int]) -> Preorder:
+    """The Preorder whose sorted names and successor masks these are, already closed."""
     order = object.__new__(Preorder)
-    object.__setattr__(order, "vertices", frozenset(names))
-    object.__setattr__(
-        order, "leq", frozenset((v, names[j]) for v, s in zip(names, succ) for j in _bits(s))
-    )
-    order.__dict__["_masks"] = (names, succ)
+    object.__setattr__(order, "names", tuple(names))
+    object.__setattr__(order, "succ", tuple(succ))
     return order
 
 
@@ -171,9 +180,8 @@ def close_preorder(
 ) -> Preorder:
     """Least reflexive-transitive relation on the vertices containing the pairs."""
     names, succ = _relation_masks(set(vertices), generating_pairs)
+    succ = [s | 1 << i for i, s in enumerate(succ)]
     n = len(names)
-    for i in range(n):
-        succ[i] |= 1 << i
     for k in range(n):
         bit = 1 << k
         row = succ[k]
@@ -185,60 +193,94 @@ def close_preorder(
 
 def mutual_classes(order: Preorder) -> tuple[frozenset[str], ...]:
     """Domination-equivalence classes (a ~ b iff a leq b and b leq a), sorted by least member."""
-    return order._classes.sets
+    names = order.names
+    return tuple(frozenset(names[j] for j in _bits(m)) for m in order._classes.masks)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RkProfile:
     """A preorder of isomorphism types plus the limit count of every domination class.
 
-    ``il`` is keyed by the class member sets; :func:`make_profile` and the
-    ``io`` parser offer friendlier construction paths.
+    The public constructor takes ``il`` keyed by the class member sets;
+    :func:`make_profile` and the ``io`` parser offer friendlier construction
+    paths.  The counts are stored by class position, in the order of the
+    classes' least members; ``il`` is derived from them on demand.
     """
 
     order: Preorder
-    il: Mapping[frozenset[str], int]
+    limit_counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        il = {frozenset(k): v for k, v in dict(self.il).items()}
-        if set(il) != set(self.order._classes.sets):
+    def __init__(self, order: Preorder, il: Mapping[frozenset[str], int]) -> None:
+        il = {frozenset(k): v for k, v in dict(il).items()}
+        position = {c: p for p, c in enumerate(mutual_classes(order))}
+        if set(il) != set(position):
             raise ValueError("limit counts must cover every domination class exactly once")
-        for cls, v in il.items():
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(
-                    f"limit count for class of {min(cls)!r} must be a nonnegative integer"
-                )
-        object.__setattr__(self, "il", il)
+        counts = _checked_counts(order, [position[c] for c in il], il.values())
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "limit_counts", counts)
+
+    @property
+    def il(self) -> dict[frozenset[str], int]:
+        """Limit count by class member set."""
+        return dict(zip(mutual_classes(self.order), self.limit_counts))
 
     @cached_property
     def _quotient(self) -> QuotientPoset:
         index = self.order._classes
-        summaries = tuple(ClassSummary(min(s), len(s), self.il[s]) for s in index.sets)
-        members = {c.representative: s for c, s in zip(summaries, index.sets)}
-        return QuotientPoset(summaries, members, index.down, index.up)
+        names = self.order.names
+        summaries = tuple(
+            ClassSummary(names[_least(m)], m.bit_count(), count)
+            for m, count in zip(index.masks, self.limit_counts)
+        )
+        return QuotientPoset(summaries, index.down, index.up)
 
     def il_of(self, vertex: str) -> int:
-        if vertex not in self.order.vertices:
-            raise UnknownVertex(f"no such vertex {vertex!r}")
-        return self.il[self.order._classes.class_of[vertex]]
+        try:
+            i = self.order.names.index(vertex)
+        except ValueError:
+            raise UnknownVertex(f"no such vertex {vertex!r}") from None
+        return self.limit_counts[self.order._classes.position[i]]
+
+
+def _profile(order: Preorder, limit_counts: tuple[int, ...]) -> RkProfile:
+    """The RkProfile with these counts by class position, already checked."""
+    profile = object.__new__(RkProfile)
+    object.__setattr__(profile, "order", order)
+    object.__setattr__(profile, "limit_counts", limit_counts)
+    return profile
+
+
+def _checked_counts(
+    order: Preorder, positions: Sequence[int], values: Iterable[object]
+) -> tuple[int, ...]:
+    """Counts by class position from one count per position; each must be a nonnegative integer."""
+    counts = [0] * len(order._classes.masks)
+    for p, v in zip(positions, values):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            rep = order.names[_least(order._classes.masks[p])]
+            raise ValueError(f"limit count for class of {rep!r} must be a nonnegative integer")
+        counts[p] = v
+    return tuple(counts)
 
 
 def _label_classes(
-    order: Preorder, names: Sequence[str]
-) -> tuple[list[frozenset[str] | None], int | None, frozenset[str] | None]:
-    """Match limit-count labels on vertices to the order's classes.
+    order: Preorder, labels: Sequence[str]
+) -> tuple[list[int | None], int | None, str | None]:
+    """Match limit-count labels on vertices to the order's class positions.
 
-    Returns the class of each name (None if undeclared), the index of the
-    first name that is undeclared or whose class an earlier name labelled,
-    and otherwise the first class that no name labels.
+    Returns the class position of each label (None if undeclared), the index
+    of the first label that is undeclared or whose class an earlier label
+    took, and otherwise the representative of the first class that no label
+    takes.
     """
-    classes = [order._classes.class_of.get(v) for v in names]
-    labelled: set[frozenset[str]] = set()
-    for i, cls in enumerate(classes):
-        if cls is None or cls in labelled:
-            return classes, i, None
-        labelled.add(cls)
-    return classes, None, next((c for c in order._classes.sets if c not in labelled), None)
+    class_of = dict(zip(order.names, order._classes.position))
+    positions = [class_of.get(v) for v in labels]
+    labelled = 0
+    for i, p in enumerate(positions):
+        if p is None or labelled >> p & 1:
+            return positions, i, None
+        labelled |= 1 << p
+    return positions, None, next((v for v, p in class_of.items() if not labelled >> p & 1), None)
 
 
 def make_profile(
@@ -249,14 +291,14 @@ def make_profile(
     """Close the relation and attach limit counts, each class named exactly once."""
     order = close_preorder(vertices, generating_pairs)
     names = list(il_by_vertex)
-    classes, fault, missing = _label_classes(order, names)
+    positions, fault, missing = _label_classes(order, names)
     if fault is not None:
-        if classes[fault] is None:
+        if positions[fault] is None:
             raise UnknownVertex(f"limit count references undeclared vertex {names[fault]!r}")
         raise ValueError(f"class of {names[fault]!r} was given two limit counts")
     if missing is not None:
-        raise ValueError(f"class of {min(missing)!r} has no limit count")
-    return RkProfile(order, dict(zip(classes, il_by_vertex.values())))
+        raise ValueError(f"class of {missing!r} has no limit count")
+    return _profile(order, _checked_counts(order, positions, il_by_vertex.values()))
 
 
 @dataclass(frozen=True)
@@ -280,7 +322,6 @@ class QuotientPoset:
     """
 
     classes: tuple[ClassSummary, ...]
-    members: Mapping[str, frozenset[str]]
     down: tuple[int, ...]
     up: tuple[int, ...]
 
@@ -309,14 +350,10 @@ class QuotientPoset:
         maximal = [c.representative for c, u in zip(self.classes, self.up) if not u]
         return maximal[0] if len(maximal) == 1 else None
 
-    def _cover_positions(self) -> list[tuple[int, int]]:
-        """Hasse cover pairs as sorted (lower, upper) class positions."""
-        return _cover_pairs(self.down, self.up)
-
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Hasse cover pairs: (a, b) with a strictly below b and nothing in between."""
         reps = [c.representative for c in self.classes]
-        return tuple((reps[a], reps[b]) for a, b in self._cover_positions())
+        return tuple((reps[a], reps[b]) for a, b in _cover_pairs(self.down, self.up))
 
     def _linear_extension(self) -> list[int]:
         """Class positions bottom up, each time the lowest-positioned class that is ready."""
@@ -368,7 +405,7 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
     least 2.
     """
     q = profile._quotient
-    nverts = len(profile.order.vertices)
+    nverts = len(profile.order.names)
     total = nverts + sum(c.limit_count for c in q.classes)
     least = q.least()
     greatest = q.greatest()
@@ -470,11 +507,11 @@ def _failed_conditions(
 
 def _require_admissible(profile: RkProfile) -> QuotientPoset:
     """The profile's quotient; raises InvalidProfile unless V1-V5 hold."""
-    report = validate_profile(profile)
-    if not report.admissible:
-        failing = [c.code for c in report.conditions if not c.passed and not c.informational]
-        raise InvalidProfile("profile fails " + ", ".join(failing))
-    return profile._quotient
+    q = profile._quotient
+    failed = _failed_conditions([c.size for c in q.classes], profile.limit_counts, q.down, q.up)
+    if failed:
+        raise InvalidProfile("profile fails " + ", ".join(failed))
+    return q
 
 
 @dataclass(frozen=True)
@@ -514,8 +551,7 @@ def _class_structure(profile: RkProfile):
     """Per-class sizes, limit counts, strictly-below/above masks and Hasse cover pairs."""
     q = profile._quotient
     sizes = [c.size for c in q.classes]
-    ils = [c.limit_count for c in q.classes]
-    return sizes, ils, q.down, q.up, q._cover_positions()
+    return sizes, profile.limit_counts, q.down, q.up, _cover_pairs(q.down, q.up)
 
 
 def _cell_keys(

@@ -28,7 +28,10 @@ from .core import (
     RkProfile,
     UnknownVertex,
     _bits,
+    _checked_counts,
+    _cover_pairs,
     _label_classes,
+    _profile,
     _require_admissible,
     close_preorder,
 )
@@ -136,16 +139,16 @@ def parse(text: bytes | str) -> RkProfile:
             raise UnknownVertex(f"line {lineno}: undeclared vertex {name!r}")
 
     order = close_preorder(vertices, [(a, b) for a, b, _ in les])
-    classes, fault, missing = _label_classes(order, [name for name, _, _ in ils])
+    positions, fault, missing = _label_classes(order, [name for name, _, _ in ils])
     if fault is not None:
-        claim = ils[classes.index(classes[fault])][2]
+        claim = ils[positions.index(positions[fault])][2]
         raise DuplicateIl(
             f"class of {ils[fault][0]!r} already has a limit count (line {claim})",
             line=ils[fault][2],
         )
     if missing is not None:
-        raise MissingIl(f"no il declaration for the class of {min(missing)!r}")
-    return RkProfile(order, {cls: count for cls, (_, count, _) in zip(classes, ils)})
+        raise MissingIl(f"no il declaration for the class of {missing!r}")
+    return _profile(order, _checked_counts(order, positions, [count for _, count, _ in ils]))
 
 
 @dataclass(frozen=True)
@@ -160,9 +163,10 @@ class ProfileDocument:
     @classmethod
     def from_profile(cls, profile: RkProfile) -> "ProfileDocument":
         q = _require_admissible(profile)
-        members = [sorted(q.members[c.representative]) for c in q.classes]
-        ils = [c.limit_count for c in q.classes]
-        return cls(*_format.compose_lines(members, ils, q._cover_positions()))
+        names = profile.order.names
+        members = [[names[j] for j in _bits(m)] for m in profile.order._classes.masks]
+        covers = _cover_pairs(q.down, q.up)
+        return cls(*_format.compose_lines(members, list(profile.limit_counts), covers))
 
     def text(self) -> str:
         return self.encode().decode("utf-8")

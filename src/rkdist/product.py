@@ -21,6 +21,8 @@ from .core import (
     RkProfile,
     _bits,
     _closed_preorder,
+    _least,
+    _profile,
     _require_admissible,
     counts,
     is_isomorphic,
@@ -62,35 +64,39 @@ class NotALattice(ProfileError):
 def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     """Coordinatewise product; class (X, Y) gets limit count Xl*|Y| + |X|*Yl + Xl*Yl."""
     names = _product_names(a, b)
-    sa = a.order._masks[1]
-    sb = b.order._masks[1]
+    sb = b.order.succ
     # Pair (i, j) sits at i*w + j, so its successors, the pairs of successors,
     # are copies of sb[j] (below 2**w) shifted to every successor of i: a product.
     w = len(sb)
-    spread = [sum(1 << i * w for i in _bits(s)) for s in sa]
+    spread = [sum(1 << i * w for i in _bits(s)) for s in a.order.succ]
     succ = [t * s for t in spread for s in sb]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    if order != list(range(len(names))):  # a factor name with "*" can break pair order
-        rank = [0] * len(order)
-        for r, p in enumerate(order):
+    pair = sorted(range(len(names)), key=names.__getitem__)
+    if pair != list(range(len(names))):  # a factor name with "*" can break pair order
+        rank = [0] * len(pair)
+        for r, p in enumerate(pair):
             rank[p] = r
-        sorted_succ = [0] * len(order)
+        sorted_succ = [0] * len(pair)
         for p, m in enumerate(succ):
             sorted_succ[rank[p]] = sum(1 << rank[q] for q in _bits(m))
-        names, succ = [names[p] for p in order], sorted_succ
-    il = {}
-    for xcls, xl in a.il.items():
-        for ycls, yl in b.il.items():
-            zcls = frozenset(f"{x}*{y}" for x in xcls for y in ycls)
-            il[zcls] = xl * len(ycls) + len(xcls) * yl + xl * yl
-    return RkProfile(_closed_preorder(names, succ), il)
+        names, succ = [names[p] for p in pair], sorted_succ
+    order = _closed_preorder(names, succ)
+    # Class (X, Y) holds the pairs of members of X and Y; read X and Y off any one.
+    qa, qb = a._quotient.classes, b._quotient.classes
+    pa, pb = a.order._classes.position, b.order._classes.position
+    ils = []
+    for m in order._classes.masks:
+        i, j = divmod(pair[_least(m)], w)
+        x, y = qa[pa[i]], qb[pb[j]]
+        xl, yl = x.limit_count, y.limit_count
+        ils.append(xl * y.size + x.size * yl + xl * yl)
+    return _profile(order, tuple(ils))
 
 
 def _product_names(a: RkProfile, b: RkProfile) -> list[str]:
     """Names x*y of the product's vertices in factor name order; both factors must be admissible."""
     _require_admissible(a)
     _require_admissible(b)
-    names = [f"{x}*{y}" for x in a.order._masks[0] for y in b.order._masks[0]]
+    names = [f"{x}*{y}" for x in a.order.names for y in b.order.names]
     if len(set(names)) != len(names):
         raise NameCollision("vertex name collision in product; rename factor vertices")
     return names

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from rkdist.catalog import get
-from rkdist.cli import run
+from rkdist.cli import ORACLE_BUDGET, run
 from rkdist.io import serialize
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -385,3 +385,43 @@ def test_golden_outputs_byte_for_byte(files):
         out, err, code = run(argv)
         assert code == 0 and err == b"", name
         assert out == (GOLDEN / name).read_bytes(), name
+
+
+def test_parser_built_once_leaks_no_state_between_runs(files):
+    prod = str(files["tmp"] / "prod.rkp")
+    run(["product", files["fig1a"], files["fig1b.1"], "-o", prod])
+    probes = [
+        ["check", files["fig1a"], "--lattice", "--boolean"],
+        ["--help"],
+        ["report", prod, "--factor", files["fig1a"], "--factor", files["fig1b.1"]],
+        ["report", prod],
+    ]
+    first = [run(argv) for argv in probes]
+    assert [code for _, _, code in first] == [2, 0, 0, 0]
+    for other in (["validate", files["fig2.2"]], ["enumerate", "--total", "3"], ["bogus"]):
+        run(other)
+        assert [run(argv) for argv in probes] == first
+    assert [run(argv) for argv in reversed(probes)] == first[::-1]
+
+
+def test_oracle_refuses_over_budget_totals(tmp_path):
+    # one token pair per model of the product: about 10**6000 here
+    big = tmp_path / "big.rkp"
+    big.write_bytes(f"rkp 1\nvertex a\nvertex b\nle a b\nil a 0\nil b {'1' * 3000}\n".encode())
+    out, err, code = run(["oracle", str(big), str(big)])
+    assert code == 2 and out == b""
+    assert err == (
+        f"error: the factors' totals multiply to more than {ORACLE_BUDGET}, the oracle's budget\n"
+    ).encode()
+
+
+def test_oracle_runs_at_budget(tmp_path):
+    # totals 31 and 32 multiply to 992, just within the budget
+    a, b = tmp_path / "a.rkp", tmp_path / "b.rkp"
+    a.write_bytes(serialize(get("param.chain2", {"k": 29})))
+    b.write_bytes(serialize(get("param.chain2", {"k": 30})))
+    assert 31 * 32 <= ORACLE_BUDGET < 32 * 32
+    out, err, code = run(["oracle", str(a), str(b)])
+    assert (out, err, code) == (b"pareto 992 = 4 + 988\noracle 992 = 4 + 988\nisomorphic\n", b"", 0)
+    out, err, code = run(["oracle", str(b), str(b)])
+    assert code == 2 and err.startswith(b"error: the factors' totals multiply to more than")

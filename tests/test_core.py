@@ -11,6 +11,7 @@ from rkdist import (
     counts,
     is_isomorphic,
     make_profile,
+    pareto_product,
     quotient,
     validate_profile,
 )
@@ -256,3 +257,23 @@ def test_class_index_is_derived_once_per_profile(monkeypatch, build):
     render_dot(p)
     render_ascii(p)
     assert len(built) == 1
+
+
+def test_operations_never_build_the_pair_relation():
+    p = parse(
+        b"rkp 1\nvertex a\nvertex b\nvertex c\nvertex d\n"
+        b"le a b\nle b c\nle c b\nle c d\nil a 0\nil b 1\nil d 1\n"
+    )
+    validate_profile(p)
+    counts(p)
+    serialize(p)
+    render_dot(p)
+    render_ascii(p)
+    canonical_form(p)
+    assert is_isomorphic(p, p)
+    product = pareto_product(p, p)
+    assert is_isomorphic(product, product)
+    for order in (p.order, product.order):
+        # leq is derived on first use and then cached on the instance
+        assert "leq" not in vars(order)
+    assert p.order.leq and "leq" in vars(p.order)

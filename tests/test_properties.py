@@ -8,7 +8,9 @@ from enum_oracle import iso_by_permutation
 from lattice_oracle import boolean_by_tables as _oracle_is_boolean
 from lattice_oracle import lattice_tables as _oracle_lattice_tables
 from rkdist import (
+    InvalidProfile,
     Preorder,
+    ProfileError,
     RkProfile,
     canonical_form,
     close_preorder,
@@ -26,7 +28,8 @@ from rkdist import (
     serialize,
     validate_profile,
 )
-from rkdist.core import _failed_conditions, _relation_masks, mutual_classes
+from rkdist import catalog, cli
+from rkdist.core import _failed_conditions, _relation_masks, _require_admissible, mutual_classes
 from rkdist.product import NotALattice
 
 FLAG_RANK = {"none": 0, "weak": 1, "strict": 2}
@@ -84,7 +87,12 @@ def test_least_class_is_singleton_with_zero(profile):
     assert c.size == 1 and c.limit_count == 0
 
 
-@given(admissible_profiles())
+@given(
+    st.one_of(
+        admissible_profiles(),
+        st.lists(admissible_profiles(), min_size=2, max_size=2).map(product_many),
+    )
+)
 @settings(max_examples=60, deadline=None)
 def test_canonical_idempotent_and_round_trip(profile):
     text = canonical_form(profile).canonical_text
@@ -238,6 +246,12 @@ def test_mask_conditions_agree_with_validation_report(profile):
     report = validate_profile(profile)
     expected = [c.code for c in report.conditions if not c.passed and not c.informational]
     assert _failed_conditions(sizes, ils, q.down, q.up) == expected
+    if expected:
+        with pytest.raises(InvalidProfile) as info:
+            _require_admissible(profile)
+        assert str(info.value) == "profile fails " + ", ".join(expected)
+    else:
+        assert _require_admissible(profile) is q
 
 
 @given(
@@ -257,3 +271,61 @@ def test_lattice_checks_agree_with_all_pairs_definition(profile):
             is_boolean_lattice(q)
     else:
         assert is_boolean_lattice(q) == _oracle_is_boolean(q, *tables)
+
+
+# Lines built from the format's own tokens reach past the header and the
+# statement checks far more often than arbitrary bytes do.
+_DOC_WORDS = ["a", "b", "c", "a*b", "1", "0", "12", "-1", "\u0661", "x y"]
+_DOC_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(["vertex", "le", "il", "rkp", "#", ""]),
+        st.lists(st.sampled_from(_DOC_WORDS), max_size=3),
+    ).map(lambda t: " ".join([t[0], *t[1]])),
+    max_size=10,
+).map(lambda lines: "\n".join(["rkp 1", *lines]).encode())
+
+
+@given(st.one_of(st.binary(max_size=300), _DOC_LINES))
+@settings(max_examples=300, deadline=None)
+def test_parse_returns_a_profile_or_raises_profile_error(data):
+    try:
+        profile = parse(data)
+    except ProfileError:
+        return
+    assert isinstance(profile, RkProfile)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Paths of a few profile files, with their contents, for driving the command line."""
+    root = tmp_path_factory.mktemp("cli")
+    names = ("fig1a", "fig1b.2", "fig2.8")
+    contents = {root / f"{name}.rkp": serialize(catalog.get(name)) for name in names}
+    contents[root / "bad.rkp"] = b"rkp 1\nvertex a\nvertex b\nil a 0\nil b 0\n"
+    return root, contents
+
+
+_CLI_WORDS = [
+    "validate", "report", "product", "oracle", "render", "catalog", "list", "show",
+    "enumerate", "check", "iso", "--factor", "-o", "--output", "--format", "dot", "ascii",
+    "--param", "--total", "--max-vertices", "--lattice", "--boolean", "--monotone", "--help",
+    "fig1a", "param.chain2", "param.ex11", "k=2", "m=1", "k=0", "-",
+    # No integer above 8, so no example starts a long enumeration.
+    "-1", "0", "1", "2", "3", "5", "8",
+]
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_cli_never_raises_on_drawn_argv(cli_files, data):
+    root, contents = cli_files
+    # Written afresh for every example, since -o may overwrite any of them.
+    for path, body in contents.items():
+        path.write_bytes(body)
+    words = st.sampled_from(_CLI_WORDS + [str(root)] + [str(p) for p in contents])
+    # At most five factors, so no product passes 1024 vertices.
+    argv = data.draw(st.lists(words, max_size=6))
+    stdin = data.draw(st.one_of(st.binary(max_size=200), st.sampled_from(list(contents.values()))))
+    out, err, code = cli.run(argv, stdin)
+    assert isinstance(out, bytes) and isinstance(err, bytes)
+    assert code in (0, 1, 2)
