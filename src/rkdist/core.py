@@ -99,25 +99,117 @@ class _ClassIndex(NamedTuple):
     up: tuple[int, ...]
 
 
-def _class_index(succ: Sequence[int]) -> _ClassIndex:
-    # A class is first met at its least member, so masks come out in that order.
-    position = [-1] * len(succ)
-    masks: list[int] = []
-    for i in range(len(succ)):
-        if position[i] < 0:
-            m = 0
-            for j in _bits(succ[i]):
-                if succ[j] >> i & 1:
-                    m |= 1 << j
-                    position[j] = len(masks)
-            masks.append(m)
-    down = [0] * len(masks)
-    up = [0] * len(masks)
-    for a, m in enumerate(masks):
-        for j in _bits(succ[_least(m)] & ~m):
-            up[a] |= 1 << position[j]
-            down[position[j]] |= 1 << a
-    return _ClassIndex(tuple(masks), tuple(position), tuple(down), tuple(up))
+def _components(succ: Sequence[int]) -> tuple[list[int], list[int], list[list[int]]]:
+    """Strongly connected components of the digraph of the successor masks, sinks first.
+
+    Tarjan's walk, with an explicit stack, so no input is too deep for it.
+    Returns each vertex's component, each component's member mask, and each
+    component's successor components (possibly repeated), all found before it.
+    """
+    n = len(succ)
+    number = [0] * n  # DFS number from 1; 0 while unvisited
+    low = [0] * n
+    comp = [-1] * n  # emission index of the vertex's class once it is found
+    out: list[list[int]] = [[] for _ in range(n)]  # per vertex, found classes it points to
+    pending = list(succ)  # per vertex, the successors not yet looked at
+    stack: list[int] = []
+    members: list[int] = []
+    successors: list[list[int]] = []  # per class, its successor classes (maybe repeated)
+    counter = 0
+    for root in range(n):
+        if number[root]:
+            continue
+        counter += 1
+        number[root] = low[root] = counter
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            rest = pending[v]
+            while rest:  # up to the first unvisited successor
+                bit = rest & -rest
+                rest ^= bit
+                w = bit.bit_length() - 1
+                if not number[w]:
+                    break
+                if comp[w] < 0:  # on the stack, so in v's class
+                    if number[w] < low[v]:
+                        low[v] = number[w]
+                else:
+                    out[v].append(comp[w])
+            else:
+                w = -1
+            pending[v] = rest
+            if w >= 0:
+                counter += 1
+                number[w] = low[w] = counter
+                stack.append(w)
+                path.append(w)
+                continue
+            path.pop()
+            if low[v] == number[v]:
+                c = len(members)
+                m = 0
+                after: list[int] = []
+                while True:
+                    x = stack.pop()
+                    comp[x] = c
+                    m |= 1 << x
+                    after += out[x]
+                    if x == v:
+                        break
+                members.append(m)
+                successors.append(after)
+            if path:
+                u = path[-1]
+                if comp[v] < 0:
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                else:
+                    out[u].append(comp[v])
+    return comp, members, successors
+
+
+def _closure_index(succ: Sequence[int]) -> tuple[tuple[int, ...], _ClassIndex]:
+    """Reflexive-transitive closure of the successor masks, and its class index.
+
+    The classes are the strongly connected components.  The closure is taken
+    over the condensed graph, as in Nuutila's algorithm: up-sets sinks first,
+    down-sets sources first, with one OR per successor class rather than one
+    step per comparable pair.
+    """
+    comp, members, successors = _components(succ)
+    # Positions by least member: a class is first met at its least member.
+    k = len(members)
+    pos = [-1] * k
+    p = 0
+    for c in comp:
+        if pos[c] < 0:
+            pos[c] = p
+            p += 1
+    reach = [0] * k
+    up_set = [0] * k
+    for c in range(k):  # sinks first: successor classes are done
+        r, u = members[c], 1 << pos[c]
+        for d in successors[c]:
+            r |= reach[d]
+            u |= up_set[d]
+        reach[c], up_set[c] = r, u
+    down_set = [1 << q for q in pos]
+    for c in range(k - 1, -1, -1):  # sources first: predecessor classes are done
+        d_c = down_set[c]
+        for d in successors[c]:
+            down_set[d] |= d_c
+    masks = [0] * k
+    down = [0] * k
+    up = [0] * k
+    for c, q in enumerate(pos):
+        bit = 1 << q
+        masks[q] = members[c]
+        down[q] = down_set[c] ^ bit
+        up[q] = up_set[c] ^ bit
+    index = _ClassIndex(tuple(masks), tuple(pos[c] for c in comp), tuple(down), tuple(up))
+    return tuple(reach[c] for c in comp), index
 
 
 @dataclass(frozen=True, init=False)
@@ -161,17 +253,24 @@ class Preorder:
 
     @cached_property
     def _classes(self) -> _ClassIndex:
-        return _class_index(self.succ)
+        return _closure_index(self.succ)[1]
 
     def holds(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
 
 
-def _closed_preorder(names: Sequence[str], succ: Sequence[int]) -> Preorder:
-    """The Preorder whose sorted names and successor masks these are, already closed."""
+def _closed_preorder(
+    names: Sequence[str], succ: Sequence[int], index: _ClassIndex | None = None
+) -> Preorder:
+    """The Preorder whose sorted names and successor masks these are, already closed.
+
+    ``index``, when given, is its class index, so ``_classes`` is never derived.
+    """
     order = object.__new__(Preorder)
     object.__setattr__(order, "names", tuple(names))
     object.__setattr__(order, "succ", tuple(succ))
+    if index is not None:
+        object.__setattr__(order, "_classes", index)
     return order
 
 
@@ -180,15 +279,7 @@ def close_preorder(
 ) -> Preorder:
     """Least reflexive-transitive relation on the vertices containing the pairs."""
     names, succ = _relation_masks(set(vertices), generating_pairs)
-    succ = [s | 1 << i for i, s in enumerate(succ)]
-    n = len(names)
-    for k in range(n):
-        bit = 1 << k
-        row = succ[k]
-        for i in range(n):
-            if succ[i] & bit:
-                succ[i] |= row
-    return _closed_preorder(names, succ)
+    return _closed_preorder(names, *_closure_index(succ))
 
 
 def mutual_classes(order: Preorder) -> tuple[frozenset[str], ...]:

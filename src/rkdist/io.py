@@ -90,23 +90,31 @@ def parse(text: bytes | str) -> RkProfile:
             text = bytes(text).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedLine("document is not valid UTF-8") from exc
-    statements: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            statements.append((lineno, line.split()))
-    if not statements:
-        raise BadHeader('expected "rkp 1" header in empty document')
-    first_line, first = statements[0]
-    if first != ["rkp", "1"]:
-        raise BadHeader(f'expected "rkp 1", got {" ".join(first)!r}', line=first_line)
-
+    header_seen = False
     vertices: dict[str, int] = {}
-    les: list[tuple[str, str, int]] = []
+    les: list[tuple[str, str]] = []
+    le_lines: list[int] = []
     ils: list[tuple[str, int, int]] = []
-    for lineno, toks in statements[1:]:
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        toks = raw.partition("#")[0].split()
+        if not toks:
+            continue
+        if not header_seen:
+            if toks != ["rkp", "1"]:
+                raise BadHeader(f'expected "rkp 1", got {" ".join(toks)!r}', line=lineno)
+            header_seen = True
+            continue
         kw = toks[0]
-        if kw == "vertex":
+        # A declared vertex's name has matched NAME_RE already.
+        if kw == "le":
+            if len(toks) != 3 or not (
+                (toks[1] in vertices or NAME_RE.match(toks[1]))
+                and (toks[2] in vertices or NAME_RE.match(toks[2]))
+            ):
+                raise MalformedLine("expected: le NAME NAME", line=lineno)
+            les.append((toks[1], toks[2]))
+            le_lines.append(lineno)
+        elif kw == "vertex":
             if len(toks) != 2 or not NAME_RE.match(toks[1]):
                 raise MalformedLine("expected: vertex NAME", line=lineno)
             if toks[1] in vertices:
@@ -115,12 +123,12 @@ def parse(text: bytes | str) -> RkProfile:
                     line=lineno,
                 )
             vertices[toks[1]] = lineno
-        elif kw == "le":
-            if len(toks) != 3 or not all(NAME_RE.match(t) for t in toks[1:]):
-                raise MalformedLine("expected: le NAME NAME", line=lineno)
-            les.append((toks[1], toks[2], lineno))
         elif kw == "il":
-            if len(toks) != 3 or not NAME_RE.match(toks[1]) or not COUNT_RE.match(toks[2]):
+            if (
+                len(toks) != 3
+                or not (toks[1] in vertices or NAME_RE.match(toks[1]))
+                or not COUNT_RE.match(toks[2])
+            ):
                 raise MalformedLine("expected: il NAME COUNT", line=lineno)
             try:
                 count = int(toks[2])
@@ -129,8 +137,10 @@ def parse(text: bytes | str) -> RkProfile:
             ils.append((toks[1], count, lineno))
         else:
             raise MalformedLine(f"unknown statement {kw!r}", line=lineno)
+    if not header_seen:
+        raise BadHeader('expected "rkp 1" header in empty document')
 
-    for a, b, lineno in les:
+    for (a, b), lineno in zip(les, le_lines):
         for name in (a, b):
             if name not in vertices:
                 raise UnknownVertex(f"line {lineno}: undeclared vertex {name!r}")
@@ -138,7 +148,7 @@ def parse(text: bytes | str) -> RkProfile:
         if name not in vertices:
             raise UnknownVertex(f"line {lineno}: undeclared vertex {name!r}")
 
-    order = close_preorder(vertices, [(a, b) for a, b, _ in les])
+    order = close_preorder(vertices, les)
     positions, fault, missing = _label_classes(order, [name for name, _, _ in ils])
     if fault is not None:
         claim = ils[positions.index(positions[fault])][2]

@@ -20,6 +20,7 @@ from .core import (
     QuotientPoset,
     RkProfile,
     _bits,
+    _ClassIndex,
     _closed_preorder,
     _least,
     _profile,
@@ -64,32 +65,67 @@ class NotALattice(ProfileError):
 def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     """Coordinatewise product; class (X, Y) gets limit count Xl*|Y| + |X|*Yl + Xl*Yl."""
     names = _product_names(a, b)
+    ia, ib = a.order._classes, b.order._classes
+    qa, qb = a._quotient.classes, b._quotient.classes
     sb = b.order.succ
+    w, kb = len(sb), len(qb)
     # Pair (i, j) sits at i*w + j, so its successors, the pairs of successors,
     # are copies of sb[j] (below 2**w) shifted to every successor of i: a product.
-    w = len(sb)
-    spread = [sum(1 << i * w for i in _bits(s)) for s in a.order.succ]
-    succ = [t * s for t in spread for s in sb]
+    # The members of a class of a share their successors, so spread once per class.
+    spread = [_spread(a.order.succ[_least(m)], w) for m in ia.masks]
+    succ = [spread[p] * s for p in ia.position for s in sb]
+    # Class (X, Y) sits at X*kb + Y, the order of its least member (least X, least Y).
+    ils = [
+        x.limit_count * y.size + (x.size + x.limit_count) * y.limit_count
+        for x in qa
+        for y in qb
+    ]
     pair = sorted(range(len(names)), key=names.__getitem__)
-    if pair != list(range(len(names))):  # a factor name with "*" can break pair order
-        rank = [0] * len(pair)
-        for r, p in enumerate(pair):
-            rank[p] = r
-        sorted_succ = [0] * len(pair)
-        for p, m in enumerate(succ):
-            sorted_succ[rank[p]] = sum(1 << rank[q] for q in _bits(m))
-        names, succ = [names[p] for p in pair], sorted_succ
-    order = _closed_preorder(names, succ)
-    # Class (X, Y) holds the pairs of members of X and Y; read X and Y off any one.
-    qa, qb = a._quotient.classes, b._quotient.classes
-    pa, pb = a.order._classes.position, b.order._classes.position
-    ils = []
+    if pair == list(range(len(names))):
+        # Its members and the classes around it are products of X's and Y's.
+        members = [_spread(m, w) for m in ia.masks]
+        index = _ClassIndex(
+            tuple(x * y for x in members for y in ib.masks),
+            tuple(x * kb + y for x in ia.position for y in ib.position),
+            _product_masks(ia.down, ib.down, kb),
+            _product_masks(ia.up, ib.up, kb),
+        )
+        return _profile(_closed_preorder(names, succ, index), tuple(ils))
+    # A factor name with "*" can break pair order: sort the pairs by name, and
+    # read each class's (X, Y) off its least pair.
+    rank = [0] * len(pair)
+    for r, p in enumerate(pair):
+        rank[p] = r
+    sorted_succ = [0] * len(pair)
+    for p, m in enumerate(succ):
+        sorted_succ[rank[p]] = sum(1 << rank[q] for q in _bits(m))
+    order = _closed_preorder([names[p] for p in pair], sorted_succ)
+    by_class = []
     for m in order._classes.masks:
         i, j = divmod(pair[_least(m)], w)
-        x, y = qa[pa[i]], qb[pb[j]]
-        xl, yl = x.limit_count, y.limit_count
-        ils.append(xl * y.size + x.size * yl + xl * yl)
-    return _profile(order, tuple(ils))
+        by_class.append(ils[ia.position[i] * kb + ib.position[j]])
+    return _profile(order, tuple(by_class))
+
+
+def _spread(mask: int, width: int) -> int:
+    """The mask with bit i moved to bit i*width."""
+    return int(("0" * (width - 1)).join(format(mask, "b")), 2)
+
+
+def _product_masks(
+    strict_a: Sequence[int], strict_b: Sequence[int], kb: int
+) -> tuple[int, ...]:
+    """Strictly-below (or above) masks of the product's classes from the factors' ones.
+
+    (X', Y') is at or below (X, Y) iff X' is at or below X and Y' at or below Y.
+    """
+    reflexive_b = _reflexive(strict_b)
+    masks = []
+    for x, m in enumerate(_reflexive(strict_a)):
+        spread = _spread(m, kb)
+        for y, n in enumerate(reflexive_b):
+            masks.append(spread * n ^ 1 << (x * kb + y))
+    return tuple(masks)
 
 
 def _product_names(a: RkProfile, b: RkProfile) -> list[str]:

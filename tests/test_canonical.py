@@ -194,6 +194,28 @@ def test_regular_layers_match_oracle(name):
         assert is_isomorphic(profile, twin) and is_isomorphic(twin, profile)
 
 
+def _edge_disjoint_matchings(n, k=3):
+    """The union of k edge-disjoint perfect matchings on n + n classes, drawn with Random(n)."""
+    rng = random.Random(n)
+    perms = []
+    while len(perms) < k:
+        p = list(range(n))
+        rng.shuffle(p)
+        if all(p[i] != q[i] for q in perms for i in range(n)):
+            perms.append(p)
+    return sorted((i, p[i]) for p in perms for i in range(n))
+
+
+def test_rigid_cubic_layers_visit_one_leaf_per_class():
+    # Refinement splits nothing and there is no automorphism to prune by, so
+    # the search visits a leaf per class of the first layer: 32 leaves with 32
+    # distinct certificates at n=32.  The README gives the cost at n=64 and 128.
+    profile = _layers(_edge_disjoint_matchings(32))
+    certificates, leaves = _search(profile)
+    assert len(certificates) == leaves <= 32
+    assert canonical_form(profile).canonical_text == oracle_canonical_text(profile)
+
+
 def _two_chains(lower_upper_ils):
     """Bottom n00 and top n05 with two 2-class chains between them."""
     names = ["n00", "a1", "a2", "b1", "b2", "n05"]

@@ -224,6 +224,19 @@ def test_quotient_sizes_sum_to_vertex_count(base):
         assert sum(c.size for c in q.classes) == len(profile.order.vertices)
 
 
+def _count_closure_index(monkeypatch) -> list:
+    """Patch core._closure_index to record its calls; returns the record."""
+    built = []
+    original = core._closure_index
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core, "_closure_index", counting)
+    return built
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -240,14 +253,7 @@ def test_quotient_sizes_sum_to_vertex_count(base):
     ids=["make_profile", "parse"],
 )
 def test_class_index_is_derived_once_per_profile(monkeypatch, build):
-    built = []
-    original = core._class_index
-
-    def counting(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(core, "_class_index", counting)
+    built = _count_closure_index(monkeypatch)
     p = build()
     validate_profile(p)
     counts(p)
@@ -257,6 +263,23 @@ def test_class_index_is_derived_once_per_profile(monkeypatch, build):
     render_dot(p)
     render_ascii(p)
     assert len(built) == 1
+
+
+def test_product_index_comes_from_the_factors(monkeypatch):
+    a = make_profile(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")],
+        {"a": 0, "b": 1, "d": 1},
+    )
+    b = get("diamond4")
+    for f in (a, b):
+        counts(f)  # both factors hold their class index already
+    built = _count_closure_index(monkeypatch)
+    product = pareto_product(a, b)
+    counts(product)
+    serialize(product)
+    render_ascii(product)
+    assert built == []
 
 
 def test_operations_never_build_the_pair_relation():

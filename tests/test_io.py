@@ -3,10 +3,12 @@ import pytest
 from rkdist import (
     InvalidProfile,
     UnknownVertex,
+    cli,
     counts,
     is_isomorphic,
     make_profile,
     pareto_product,
+    quotient,
 )
 from rkdist.catalog import chain_profile, get
 from rkdist.io import (
@@ -208,3 +210,28 @@ def test_render_dot_depends_only_on_structure():
     )
     assert render_dot(p) == render_dot(q)
     assert serialize(p) == serialize(q)
+
+
+def _deep_documents(n=3000):
+    """A chain of n vertices with its le lines top-down, and one n-member le cycle."""
+    names = [f"v{i:04d}" for i in range(n)]
+    vertices = "".join(f"vertex {v}\n" for v in names)
+    chain_les = "".join(f"le {names[i]} {names[i + 1]}\n" for i in reversed(range(n - 1)))
+    chain_ils = "".join(f"il {v} {int(i == n - 1)}\n" for i, v in enumerate(names))
+    cycle_les = "".join(f"le {names[i]} {names[(i + 1) % n]}\n" for i in range(n))
+    chain = f"rkp 1\n{vertices}{chain_les}{chain_ils}".encode()
+    cycle = f"rkp 1\n{vertices}{cycle_les}il v0000 1\n".encode()
+    return names, chain, cycle
+
+
+def test_deep_documents_parse_without_recursion():
+    # the closure walks with an explicit stack, so depth is bounded by memory only
+    names, chain, cycle = _deep_documents()
+    q = quotient(parse(chain))
+    assert len(q.classes) == 3000
+    assert q.least() == names[0] and q.greatest() == names[-1]
+    assert len(quotient(parse(cycle)).classes) == 1
+    for doc in (chain, cycle):
+        out, err, code = cli.run(["validate", "-"], doc)
+        assert code in (0, 1)
+        assert b"Traceback" not in out + err

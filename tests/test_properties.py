@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from canon_oracle import oracle_canonical_text
+from closure_oracle import class_index, warshall_close
 from enum_oracle import iso_by_permutation
 from lattice_oracle import boolean_by_tables as _oracle_is_boolean
 from lattice_oracle import lattice_tables as _oracle_lattice_tables
@@ -201,6 +202,58 @@ def test_seeded_masks_equal_rederived_masks(profile, a, b):
         assert order._masks == _relation_masks(order.vertices, order.leq)
         assert Preorder(order.vertices, order.leq) == order
     assert products[1] == oracle_product(starred, b)
+
+
+@st.composite
+def digraphs(draw):
+    """Vertex names and listed pairs of any digraph on up to 40 vertices, pairs in drawn order.
+
+    Besides random pairs, it may hold self-loops, repeated pairs and a long
+    cycle; vertices that no pair names stay isolated.
+    """
+    n = draw(st.integers(1, 40))
+    names = [f"v{i}" for i in range(n)]  # "v10" sorts before "v2"
+    vertex = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    pairs += [(v, v) for v in draw(st.lists(vertex, max_size=3))]
+    cycle = draw(st.lists(vertex, unique=True, max_size=n))
+    pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))
+    return names, draw(st.permutations(pairs))
+
+
+@given(digraphs())
+@settings(max_examples=200, deadline=None)
+def test_closure_matches_warshall_oracle(graph):
+    names, pairs = graph
+    order = close_preorder(names, pairs)
+    sorted_names, generating = _relation_masks(names, pairs)
+    closed = warshall_close(generating)
+    assert order.names == sorted_names
+    assert list(order.succ) == closed
+    assert order._classes == class_index(closed)
+    # the public constructor derives its index lazily from the closed masks
+    assert Preorder(order.vertices, order.leq)._classes == order._classes
+
+
+@given(
+    st.lists(admissible_profiles(), min_size=2, max_size=3),
+    st.integers(0, 2),
+)
+@settings(max_examples=100, deadline=None)
+def test_product_index_matches_oracle(factors, starred):
+    if starred:
+        # the starred factor of test_seeded_masks_equal_rederived_masks, which
+        # breaks pair order when it comes first
+        f = factors[starred - 1]
+        factors[starred - 1] = _relabeled(
+            f, {v: "b" + "*a" * i for i, v in enumerate(sorted(f.order.vertices))}
+        )
+    product = product_many(factors)
+    assert list(product.order.succ) == warshall_close(product.order.succ)
+    assert product.order._classes == class_index(product.order.succ)
+    assert product == oracle_product(product_many(factors[:-1]), factors[-1])
 
 
 def _brute_quotient(profile):
