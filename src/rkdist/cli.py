@@ -147,6 +147,8 @@ def _cmd_catalog(args, stdin, out, err) -> int:
         key, sep, value = item.partition("=")
         if not sep or not key or not INTEGER_RE.match(value):
             raise _Usage(f"bad --param {item!r}, expected NAME=INTEGER")
+        if key in params:
+            raise _Usage(f"--param {key} is given more than once")
         try:
             params[key] = int(value)
         except ValueError:  # beyond the interpreter's limit on digits

@@ -218,29 +218,24 @@ class Preorder:
 
     Stored as the sorted vertex names and, per name, the bitmask of the names
     that dominate it; ``vertices`` and ``leq`` are derived from them on demand.
+    Every constructor also stores its class index, ``_classes``.
     """
 
     names: tuple[str, ...]
     succ: tuple[int, ...]
+    _classes: _ClassIndex = field(compare=False, repr=False)
 
     def __init__(self, vertices: Iterable[str], leq: Iterable[tuple[str, str]]) -> None:
         names, succ = _relation_masks(frozenset(vertices), leq)
         for i, v in enumerate(names):
             if not succ[i] >> i & 1:
                 raise ValueError(f"preorder is not reflexive at {v!r}")
-        for i in range(len(names)):
-            reach = 0
-            for j in _bits(succ[i]):
-                reach |= succ[j]
-            if reach & ~succ[i]:
-                raise ValueError("preorder is not transitively closed")
+        closed, index = _closure_index(succ)
+        if closed != succ:
+            raise ValueError("preorder is not transitively closed")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "succ", succ)
-
-    @property
-    def _masks(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        """The two stored fields as one pair, the form ``_relation_masks`` returns."""
-        return self.names, self.succ
+        object.__setattr__(self, "_classes", index)
 
     @cached_property
     def vertices(self) -> frozenset[str]:
@@ -251,26 +246,16 @@ class Preorder:
         names = self.names
         return frozenset((v, names[j]) for v, s in zip(names, self.succ) for j in _bits(s))
 
-    @cached_property
-    def _classes(self) -> _ClassIndex:
-        return _closure_index(self.succ)[1]
-
     def holds(self, a: str, b: str) -> bool:
         return (a, b) in self.leq
 
 
-def _closed_preorder(
-    names: Sequence[str], succ: Sequence[int], index: _ClassIndex | None = None
-) -> Preorder:
-    """The Preorder whose sorted names and successor masks these are, already closed.
-
-    ``index``, when given, is its class index, so ``_classes`` is never derived.
-    """
+def _closed_preorder(names: Sequence[str], succ: Sequence[int], index: _ClassIndex) -> Preorder:
+    """The Preorder whose sorted names, closed successor masks and class index these are."""
     order = object.__new__(Preorder)
     object.__setattr__(order, "names", tuple(names))
     object.__setattr__(order, "succ", tuple(succ))
-    if index is not None:
-        object.__setattr__(order, "_classes", index)
+    object.__setattr__(order, "_classes", index)
     return order
 
 
@@ -493,76 +478,45 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
     0; V3 unique greatest class; V4 with more than one vertex the greatest
     class has a positive limit count; V5 every multi-member class has a
     positive limit count; V6 (informational) the total model count is at
-    least 2.
+    least 2.  The verdicts on V1-V5 are those of :func:`_failed_conditions`,
+    which every operation's admissibility check reads too; this only words them.
     """
     q = profile._quotient
+    failed = _failed_conditions([c.size for c in q.classes], profile.limit_counts, q.down, q.up)
     nverts = len(profile.order.names)
-    total = nverts + sum(c.limit_count for c in q.classes)
-    least = q.least()
-    greatest = q.greatest()
-    conds: list[ConditionReport] = []
-
+    least, greatest = q.least(), q.greatest()
     if least is None:
-        minimal = [c.representative for c, d in zip(q.classes, q.down) if not d]
-        conds.append(
-            ConditionReport("V1", False, f"no unique least class (minimal: {', '.join(minimal)})")
-        )
+        minimal = ", ".join(c.representative for c, d in zip(q.classes, q.down) if not d)
+        v1 = f"no unique least class (minimal: {minimal})"
+        v2 = "no unique least class"
     else:
-        conds.append(ConditionReport("V1", True, f"least class {least}"))
-
-    if least is None:
-        conds.append(ConditionReport("V2", False, "no unique least class"))
-    else:
+        v1 = f"least class {least}"
         c = q.summary(least)
-        if c.size != 1:
-            conds.append(ConditionReport("V2", False, f"least class {least} has size {c.size}"))
-        elif c.limit_count != 0:
-            conds.append(
-                ConditionReport(
-                    "V2", False, f"least class {least} has limit count {c.limit_count}"
-                )
-            )
+        if "V2" not in failed:
+            v2 = f"least class {least} is a singleton with limit count 0"
+        elif c.size != 1:
+            v2 = f"least class {least} has size {c.size}"
         else:
-            conds.append(
-                ConditionReport(
-                    "V2", True, f"least class {least} is a singleton with limit count 0"
-                )
-            )
-
+            v2 = f"least class {least} has limit count {c.limit_count}"
     if greatest is None:
-        maximal = [c.representative for c, u in zip(q.classes, q.up) if not u]
-        conds.append(
-            ConditionReport("V3", False, f"no unique greatest class (maximal: {', '.join(maximal)})")
-        )
+        maximal = ", ".join(c.representative for c, u in zip(q.classes, q.up) if not u)
+        v3 = f"no unique greatest class (maximal: {maximal})"
     else:
-        conds.append(ConditionReport("V3", True, f"greatest class {greatest}"))
-
+        v3 = f"greatest class {greatest}"
     if nverts <= 1:
-        conds.append(ConditionReport("V4", True, "single vertex, nothing required"))
+        v4 = "single vertex, nothing required"
     elif greatest is None:
-        conds.append(ConditionReport("V4", False, "no unique greatest class"))
+        v4 = "no unique greatest class"
     else:
-        lc = q.summary(greatest).limit_count
-        conds.append(
-            ConditionReport(
-                "V4", lc >= 1, f"greatest class {greatest} has limit count {lc}"
-            )
-        )
-
-    bad = [c for c in q.classes if c.size > 1 and c.limit_count < 1]
-    if bad:
-        conds.append(
-            ConditionReport(
-                "V5",
-                False,
-                f"class {bad[0].representative} has size {bad[0].size} but limit count 0",
-            )
-        )
+        v4 = f"greatest class {greatest} has limit count {q.summary(greatest).limit_count}"
+    if "V5" in failed:
+        bad = next(c for c in q.classes if c.size > 1 and not c.limit_count)
+        v5 = f"class {bad.representative} has size {bad.size} but limit count 0"
     else:
-        conds.append(
-            ConditionReport("V5", True, "every multi-member class has a positive limit count")
-        )
-
+        v5 = "every multi-member class has a positive limit count"
+    details = {"V1": v1, "V2": v2, "V3": v3, "V4": v4, "V5": v5}
+    conds = [ConditionReport(code, code not in failed, text) for code, text in details.items()]
+    total = nverts + sum(profile.limit_counts)
     conds.append(
         ConditionReport(
             "V6",

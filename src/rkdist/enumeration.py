@@ -114,7 +114,7 @@ def enumerate_profiles(
     if not isinstance(total, int) or isinstance(total, bool) or total < 2:
         raise InvalidTotal(f"total must be an integer >= 2, got {total!r}")
     if total > cap:
-        raise InvalidTotal(f"total {total} exceeds the cap {cap}; raise cap= to override")
+        raise InvalidTotal(f"total {total} exceeds the cap {cap}")
     nmax = total if max_vertices is None else min(total, max_vertices)
     # least certificate -> canonical document of the first candidate with it
     found: dict[_Certificate, bytes] = {}

@@ -22,6 +22,7 @@ from .core import (
     _bits,
     _ClassIndex,
     _closed_preorder,
+    _closure_index,
     _least,
     _profile,
     _require_admissible,
@@ -99,7 +100,7 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     sorted_succ = [0] * len(pair)
     for p, m in enumerate(succ):
         sorted_succ[rank[p]] = sum(1 << rank[q] for q in _bits(m))
-    order = _closed_preorder([names[p] for p in pair], sorted_succ)
+    order = _closed_preorder([names[p] for p in pair], *_closure_index(sorted_succ))
     by_class = []
     for m in order._classes.masks:
         i, j = divmod(pair[_least(m)], w)

@@ -276,6 +276,20 @@ def test_catalog_param_must_be_ascii_integer_exits_2(value):
     assert err.startswith(b"error: bad --param")
 
 
+@pytest.mark.parametrize("second", ["k=2", "k=1"])
+def test_catalog_param_given_twice_exits_2(second):
+    argv = ["catalog", "show", "param.chain2", "--param", "k=1", "--param", second]
+    out, err, code = run(argv)
+    assert code == 2 and out == b""
+    assert err == b"error: --param k is given more than once\n"
+
+
+def test_enumerate_above_cap_names_no_library_keyword():
+    out, err, code = run(["enumerate", "--total", "13"])
+    assert code == 2 and out == b""
+    assert err == b"error: total 13 exceeds the cap 12\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -139,6 +139,75 @@ def test_validate_v6_informational_only():
     assert report.admissible  # V6 does not gate admissibility
 
 
+_TWO_MINIMAL = ({"a", "b", "c"}, [("a", "c"), ("b", "c")], {"a": 0, "b": 0, "c": 1})
+_TWO_MAXIMAL = ({"a", "b", "c"}, [("a", "b"), ("a", "c")], {"a": 0, "b": 1, "c": 1})
+_FAT_LEAST = ({"a", "b"}, [("a", "b"), ("b", "a")], {"a": 1})
+_COUNTED_LEAST = ({"a", "b"}, [("a", "b")], {"a": 1, "b": 1})
+_UNCOUNTED_TOP = ({"a", "b"}, [("a", "b")], {"a": 0, "b": 0})
+# Two multi-member classes with limit count 0; the detail names the first.
+_TWO_UNCOUNTED = (
+    {"a", "b", "c", "d", "e"},
+    [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d"), ("d", "e"), ("e", "d")],
+    {"a": 0, "b": 0, "d": 0},
+)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: get("fig1a"), ("V1", True, "least class a", False)),
+        (
+            lambda: make_profile(*_TWO_MINIMAL),
+            ("V1", False, "no unique least class (minimal: a, b)", False),
+        ),
+        (lambda: make_profile(*_TWO_MINIMAL), ("V2", False, "no unique least class", False)),
+        (lambda: make_profile(*_FAT_LEAST), ("V2", False, "least class a has size 2", False)),
+        (
+            lambda: make_profile(*_COUNTED_LEAST),
+            ("V2", False, "least class a has limit count 1", False),
+        ),
+        (
+            lambda: get("fig1a"),
+            ("V2", True, "least class a is a singleton with limit count 0", False),
+        ),
+        (lambda: get("fig1a"), ("V3", True, "greatest class b", False)),
+        (
+            lambda: make_profile(*_TWO_MAXIMAL),
+            ("V3", False, "no unique greatest class (maximal: b, c)", False),
+        ),
+        (lambda: chain_profile([0]), ("V4", True, "single vertex, nothing required", False)),
+        (lambda: parse(b"rkp 1\n"), ("V4", True, "single vertex, nothing required", False)),
+        (lambda: make_profile(*_TWO_MAXIMAL), ("V4", False, "no unique greatest class", False)),
+        (
+            lambda: make_profile(*_UNCOUNTED_TOP),
+            ("V4", False, "greatest class b has limit count 0", False),
+        ),
+        (lambda: get("fig1a"), ("V4", True, "greatest class b has limit count 1", False)),
+        (
+            lambda: make_profile(*_TWO_UNCOUNTED),
+            ("V5", False, "class b has size 2 but limit count 0", False),
+        ),
+        (
+            lambda: get("fig1a"),
+            ("V5", True, "every multi-member class has a positive limit count", False),
+        ),
+        (lambda: get("fig1a"), ("V6", True, "total 3 is in the Ehrenfeucht range", True)),
+        (lambda: chain_profile([0]), ("V6", False, "total 1 is below the Ehrenfeucht range", True)),
+    ],
+    ids=[
+        "V1-pass", "V1-two-minimal",
+        "V2-no-least", "V2-size", "V2-count", "V2-pass",
+        "V3-pass", "V3-two-maximal",
+        "V4-single-vertex", "V4-empty", "V4-no-greatest", "V4-count-0", "V4-positive",
+        "V5-fail", "V5-pass",
+        "V6-in-range", "V6-below-range",
+    ],
+)
+def test_validation_wording(build, expected):
+    c = validate_profile(build()).condition(expected[0])
+    assert (c.code, c.passed, c.detail, c.informational) == expected
+
+
 def test_counts_fig1a():
     r = counts(get("fig1a"))
     assert (r.prime_count, r.limit_count, r.total) == (2, 1, 3)
@@ -249,8 +318,17 @@ def _count_closure_index(monkeypatch) -> list:
             b"rkp 1\nvertex a\nvertex b\nvertex c\nvertex d\n"
             b"le a b\nle b c\nle c b\nle c d\nil a 0\nil b 1\nil d 1\n"
         ),
+        lambda: RkProfile(
+            Preorder(
+                ["a", "b", "c", "d"],
+                [(v, v) for v in "abcd"]
+                + [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "b")]
+                + [("b", "d"), ("c", "d")],
+            ),
+            {frozenset("a"): 0, frozenset("bc"): 1, frozenset("d"): 1},
+        ),
     ],
-    ids=["make_profile", "parse"],
+    ids=["make_profile", "parse", "Preorder"],
 )
 def test_class_index_is_derived_once_per_profile(monkeypatch, build):
     built = _count_closure_index(monkeypatch)

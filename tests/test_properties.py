@@ -199,7 +199,7 @@ def test_seeded_masks_equal_rederived_masks(profile, a, b):
     starred = _relabeled(a, {v: "b" + "*a" * i for i, v in enumerate(sorted(a.order.vertices))})
     products = [pareto_product(a, b), pareto_product(starred, b)]
     for order in [profile.order] + [p.order for p in products]:
-        assert order._masks == _relation_masks(order.vertices, order.leq)
+        assert (order.names, order.succ) == _relation_masks(order.vertices, order.leq)
         assert Preorder(order.vertices, order.leq) == order
     assert products[1] == oracle_product(starred, b)
 
@@ -233,8 +233,38 @@ def test_closure_matches_warshall_oracle(graph):
     assert order.names == sorted_names
     assert list(order.succ) == closed
     assert order._classes == class_index(closed)
-    # the public constructor derives its index lazily from the closed masks
     assert Preorder(order.vertices, order.leq)._classes == order._classes
+
+
+@given(digraphs(), st.sampled_from(["as drawn", "loops added", "closed"]))
+@settings(max_examples=200, deadline=None)
+def test_public_preorder_checks_against_warshall_oracle(graph, shape):
+    names, pairs = graph
+    if shape != "as drawn":
+        pairs = pairs + [(v, v) for v in names]
+    sorted_names, generating = _relation_masks(names, pairs)
+    closed = warshall_close(generating)
+    if shape == "closed":
+        pairs = [
+            (v, w)
+            for v, s in zip(sorted_names, closed)
+            for j, w in enumerate(sorted_names)
+            if s >> j & 1
+        ]
+        generating = tuple(closed)
+    unlooped = [v for i, v in enumerate(sorted_names) if not generating[i] >> i & 1]
+    if unlooped or closed != list(generating):
+        with pytest.raises(ValueError) as info:
+            Preorder(names, pairs)
+        if unlooped:
+            assert str(info.value) == f"preorder is not reflexive at {unlooped[0]!r}"
+        else:
+            assert str(info.value) == "preorder is not transitively closed"
+        return
+    order = Preorder(names, pairs)
+    expected = close_preorder(names, pairs)
+    assert order == expected
+    assert order._classes == expected._classes
 
 
 @given(
@@ -288,6 +318,39 @@ def test_class_masks_agree_with_brute_force(profile):
     assert list(q.covers()) == covers
     if validate_profile(profile).admissible:
         assert [c.representative for c in counts(profile).classes] == bottom_up
+
+
+def _brute_failed(profile):
+    """Codes of the conditions V1-V5 that fail, from leq, the class members and il_of."""
+    leq = profile.order.leq
+    vs = profile.order.vertices
+    reps, _, least, greatest, _, _ = _brute_quotient(profile)
+    size = {r: sum((u, r) in leq and (r, u) in leq for u in vs) for r in reps}
+    holds = {
+        "V1": least is not None,
+        "V2": least is not None and size[least] == 1 and profile.il_of(least) == 0,
+        "V3": greatest is not None,
+        "V4": len(vs) <= 1 or (greatest is not None and profile.il_of(greatest) >= 1),
+        "V5": all(size[r] == 1 or profile.il_of(r) >= 1 for r in reps),
+    }
+    return [code for code, ok in holds.items() if not ok]
+
+
+@given(st.one_of(random_profiles(), admissible_profiles(), st.just(parse(b"rkp 1\n"))))
+@settings(max_examples=150, deadline=None)
+def test_verdicts_agree_with_brute_force(profile):
+    failed = _brute_failed(profile)
+    report = validate_profile(profile)
+    assert [(c.code, c.passed) for c in report.conditions if not c.informational] == [
+        (code, code not in failed) for code in ("V1", "V2", "V3", "V4", "V5")
+    ]
+    assert report.admissible == (not failed)
+    if failed:
+        with pytest.raises(InvalidProfile) as info:
+            _require_admissible(profile)
+        assert str(info.value) == "profile fails " + ", ".join(failed)
+    else:
+        assert _require_admissible(profile) is quotient(profile)
 
 
 @given(st.one_of(random_profiles(), admissible_profiles()))
