@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _format
 
@@ -89,14 +89,15 @@ def _relation_masks(
 
 
 class _ClassIndex(NamedTuple):
-    """Domination classes by least member: each one's member mask and the
-    masks of the classes strictly below and above it; and the class position
-    of every vertex."""
+    """Domination classes by least member: each one's member mask, the masks
+    of the classes strictly below and above it and of the classes that cover
+    it; and the class position of every vertex."""
 
     masks: tuple[int, ...]
     position: tuple[int, ...]
     down: tuple[int, ...]
     up: tuple[int, ...]
+    covers: tuple[int, ...]
 
 
 def _components(succ: Sequence[int]) -> tuple[list[int], list[int], list[list[int]]]:
@@ -176,7 +177,9 @@ def _closure_index(succ: Sequence[int]) -> tuple[tuple[int, ...], _ClassIndex]:
     The classes are the strongly connected components.  The closure is taken
     over the condensed graph, as in Nuutila's algorithm: up-sets sinks first,
     down-sets sources first, with one OR per successor class rather than one
-    step per comparable pair.
+    step per comparable pair.  Every cover is an edge of the condensed graph
+    (Aho, Garey and Ullman, 1972): a class's covers are its successor classes
+    that lie above none of the others.
     """
     comp, members, successors = _components(succ)
     # Positions by least member: a class is first met at its least member.
@@ -187,15 +190,18 @@ def _closure_index(succ: Sequence[int]) -> tuple[tuple[int, ...], _ClassIndex]:
         if pos[c] < 0:
             pos[c] = p
             p += 1
+    bit = [1 << q for q in pos]
     reach = [0] * k
-    up_set = [0] * k
+    up_set = [0] * k  # strictly above
+    cover = [0] * k
     for c in range(k):  # sinks first: successor classes are done
-        r, u = members[c], 1 << pos[c]
+        r, direct, above = members[c], 0, 0
         for d in successors[c]:
             r |= reach[d]
-            u |= up_set[d]
-        reach[c], up_set[c] = r, u
-    down_set = [1 << q for q in pos]
+            direct |= bit[d]
+            above |= up_set[d]
+        reach[c], up_set[c], cover[c] = r, direct | above, direct & ~above
+    down_set = bit[:]
     for c in range(k - 1, -1, -1):  # sources first: predecessor classes are done
         d_c = down_set[c]
         for d in successors[c]:
@@ -203,12 +209,15 @@ def _closure_index(succ: Sequence[int]) -> tuple[tuple[int, ...], _ClassIndex]:
     masks = [0] * k
     down = [0] * k
     up = [0] * k
+    covers = [0] * k
     for c, q in enumerate(pos):
-        bit = 1 << q
         masks[q] = members[c]
-        down[q] = down_set[c] ^ bit
-        up[q] = up_set[c] ^ bit
-    index = _ClassIndex(tuple(masks), tuple(pos[c] for c in comp), tuple(down), tuple(up))
+        down[q] = down_set[c] ^ bit[c]
+        up[q] = up_set[c]
+        covers[q] = cover[c]
+    index = _ClassIndex(
+        tuple(masks), tuple(pos[c] for c in comp), tuple(down), tuple(up), tuple(covers)
+    )
     return tuple(reach[c] for c in comp), index
 
 
@@ -308,7 +317,7 @@ class RkProfile:
             ClassSummary(names[_least(m)], m.bit_count(), count)
             for m, count in zip(index.masks, self.limit_counts)
         )
-        return QuotientPoset(summaries, index.down, index.up)
+        return QuotientPoset(summaries, index.down, index.up, index.covers)
 
     def il_of(self, vertex: str) -> int:
         try:
@@ -384,22 +393,19 @@ class ClassSummary:
     limit_count: int
 
 
-def _cover_pairs(down: Sequence[int], up: Sequence[int]) -> list[tuple[int, int]]:
-    """Sorted (lower, upper) positions with lower strictly below upper and nothing in between."""
-    return sorted((a, b) for b, d in enumerate(down) for a in _bits(d) if not d & up[a])
-
-
 @dataclass(frozen=True)
 class QuotientPoset:
     """The strict partial order of domination classes, with per-class size and limit count.
 
     Classes come in representative order; ``down[i]`` and ``up[i]`` are the
-    bitmasks of the positions of the classes strictly below and above class i.
+    bitmasks of the positions of the classes strictly below and above class i,
+    and ``upper_covers[i]`` that of the classes covering it.
     """
 
     classes: tuple[ClassSummary, ...]
     down: tuple[int, ...]
     up: tuple[int, ...]
+    upper_covers: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def below(self) -> frozenset[tuple[str, str]]:
@@ -429,16 +435,33 @@ class QuotientPoset:
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Hasse cover pairs: (a, b) with a strictly below b and nothing in between."""
         reps = [c.representative for c in self.classes]
-        return tuple((reps[a], reps[b]) for a, b in _cover_pairs(self.down, self.up))
+        return tuple((reps[a], reps[b]) for a, b in self._cover_positions())
+
+    def _cover_positions(self) -> list[tuple[int, int]]:
+        """Sorted (lower, upper) positions of the cover pairs."""
+        return [(a, b) for a, m in enumerate(self.upper_covers) for b in _bits(m)]
 
     def _linear_extension(self) -> list[int]:
-        """Class positions bottom up, each time the lowest-positioned class that is ready."""
+        """Class positions bottom up, each time the lowest-positioned class that is ready.
+
+        Kahn's walk over the covers, the ready classes in a mask: a class is
+        ready once its lower covers are done, and so everything below it.
+        """
+        covers = self.upper_covers
+        waiting = [0] * len(covers)  # lower covers not yet done
+        for m in covers:
+            for b in _bits(m):
+                waiting[b] += 1
+        ready = sum(1 << i for i, w in enumerate(waiting) if not w)
         order: list[int] = []
-        done = 0
-        while len(order) < len(self.down):
-            i = next(i for i, d in enumerate(self.down) if not (done >> i & 1 or d & ~done))
-            order.append(i)
-            done |= 1 << i
+        while ready:
+            a = _least(ready)
+            ready ^= 1 << a
+            order.append(a)
+            for b in _bits(covers[a]):
+                waiting[b] -= 1
+                if not waiting[b]:
+                    ready |= 1 << b
         return order
 
 
@@ -596,7 +619,7 @@ def _class_structure(profile: RkProfile):
     """Per-class sizes, limit counts, strictly-below/above masks and Hasse cover pairs."""
     q = profile._quotient
     sizes = [c.size for c in q.classes]
-    return sizes, profile.limit_counts, q.down, q.up, _cover_pairs(q.down, q.up)
+    return sizes, profile.limit_counts, q.down, q.up, q._cover_positions()
 
 
 def _cell_keys(
@@ -735,15 +758,16 @@ def _in_explored_orbit(e: int, explored: list[int], generators: list[list[int]])
     return False
 
 
-def _leaf_search(
+def _leaf_certificates(
     sizes: list[int],
     ils: list[int],
     down: list[int],
     up: list[int],
     covers: list[tuple[int, int]],
     cells: list[list[int]] | None = None,
-) -> tuple[list[_Certificate], int]:
-    """Distinct leaf certificates of the individualization-refinement tree, and leaves visited.
+) -> Generator[_Certificate, None, int]:
+    """Each distinct leaf certificate of the individualization-refinement tree, when first
+    found; returns the number of leaves visited.
 
     The root is the refined partition into initial cells (``cells`` when the
     caller has it already); a node's children individualize, in increasing
@@ -757,7 +781,8 @@ def _leaf_search(
     automorphisms that fix the node's individualized classes, is skipped for
     the same reason.  Only automorphic images of explored subtrees are
     skipped, so every certificate of the whole tree is found (McKay and
-    Piperno, "Practical graph isomorphism, II", 2014).
+    Piperno, "Practical graph isomorphism, II", 2014).  A caller that stops
+    early skips the rest of the walk.
     """
     if cells is None:
         cells = _root_cells(sizes, ils, down, up)
@@ -778,6 +803,7 @@ def _leaf_search(
             first = seen.get(cert)
             if first is None:
                 seen[cert] = (order, chosen)
+                yield cert
             else:
                 first_order, first_chosen = first
                 gamma = [0] * len(order)
@@ -795,8 +821,24 @@ def _leaf_search(
                 break
             path.pop()
         else:
-            return list(seen), leaves
+            return leaves
         cells = _individualize(node.cells, node.target, child, down, up)
+
+
+def _leaf_search(*structure) -> tuple[list[_Certificate], int]:
+    """Distinct leaf certificates of the search tree, in the order found, and leaves visited.
+
+    Takes the arguments of :func:`_leaf_certificates` and drains it.  The
+    enumeration, which runs thousands of small searches and needs no leaf
+    count, drains it with ``list``, which costs less.
+    """
+    walk = _leaf_certificates(*structure)
+    certificates: list[_Certificate] = []
+    while True:
+        try:
+            certificates.append(next(walk))
+        except StopIteration as done:
+            return certificates, done.value
 
 
 def _next_child(node: _Node, prefix: list[int], generators: list[list[int]]) -> int | None:
@@ -871,7 +913,8 @@ def is_isomorphic(a: RkProfile, b: RkProfile) -> bool:
     """True iff the profiles are isomorphic as IL-labeled preorders.
 
     Profiles whose vertex count, class count, initial cell keys or refined
-    root partitions differ are told apart without a search.
+    root partitions differ are told apart without a search.  Otherwise the
+    search over a stops at the first leaf whose certificate is b's first.
     """
     _require_admissible(a)
     _require_admissible(b)
@@ -884,6 +927,6 @@ def is_isomorphic(a: RkProfile, b: RkProfile) -> bool:
         return False
     # Isomorphic profiles have the same certificates over their whole search
     # trees, and equal certificates mean equal relabelled structures, so one
-    # leaf of b decides.
-    certificates, _ = _leaf_search(*sa, ra)
-    return _first_leaf(*sb, rb) in certificates
+    # leaf of b decides, and the walk over a stops at the first match.
+    target = _first_leaf(*sb, rb)
+    return target in _leaf_certificates(*sa, ra)

@@ -25,9 +25,8 @@ from .core import (
     ProfileError,
     _bits,
     _Certificate,
-    _cover_pairs,
     _failed_conditions,
-    _leaf_search,
+    _leaf_certificates,
     _least_document,
 )
 
@@ -49,12 +48,15 @@ class EnumerationResult:
 
 
 def _shape(down: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[tuple[int, int]]]:
-    """A poset's strictly-below masks, strictly-above masks and cover pairs."""
+    """A poset's strictly-below masks, strictly-above masks and sorted cover pairs.
+
+    (a, b) is a cover when a is strictly below b and below nothing below b.
+    """
     up = [0] * len(down)
     for b, d in enumerate(down):
         for a in _bits(d):
             up[a] |= 1 << b
-    return down, up, _cover_pairs(down, up)
+    return down, up, sorted((a, b) for b, d in enumerate(down) for a in _bits(d) if not d & up[a])
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,7 +80,7 @@ def _bounded_posets(k: int) -> tuple[tuple[int, ...], ...]:
             d = sub << 1 | 1
             if all(not inner[i] & ~d for i in _bits(d)):
                 down = (*inner, d, top)
-                certificates, _ = _leaf_search([1] * k, [0] * k, *_shape(down))
+                certificates = list(_leaf_certificates([1] * k, [0] * k, *_shape(down)))
                 found.setdefault(min(certificates), down)
     return tuple(found.values())
 
@@ -139,7 +141,7 @@ def enumerate_profiles(
                         failed = _failed_conditions(sizes, ils, down, up)
                         if failed:
                             raise InvalidProfile("profile fails " + ", ".join(failed))
-                        certificates, _ = _leaf_search(sizes, ils, down, up, covers)
+                        certificates = list(_leaf_certificates(sizes, ils, down, up, covers))
                         key = min(certificates)
                         if key not in found:
                             found[key] = _least_document(certificates)

@@ -29,7 +29,6 @@ from .core import (
     UnknownVertex,
     _bits,
     _checked_counts,
-    _cover_pairs,
     _label_classes,
     _profile,
     _require_admissible,
@@ -175,7 +174,7 @@ class ProfileDocument:
         q = _require_admissible(profile)
         names = profile.order.names
         members = [[names[j] for j in _bits(m)] for m in profile.order._classes.masks]
-        covers = _cover_pairs(q.down, q.up)
+        covers = q._cover_positions()
         return cls(*_format.compose_lines(members, list(profile.limit_counts), covers))
 
     def text(self) -> str:
@@ -208,9 +207,11 @@ def render_dot(profile: RkProfile) -> bytes:
 def render_ascii(profile: RkProfile) -> bytes:
     """Leveled drawing by longest-chain depth from the least class, bottom line last."""
     q = _require_admissible(profile)
+    # Bottom up, a class's depth is final before it passes it on to its covers.
     depth = [0] * len(q.classes)
-    for i in q._linear_extension():
-        depth[i] = max((depth[j] + 1 for j in _bits(q.down[i])), default=0)
+    for a in q._linear_extension():
+        for b in _bits(q.upper_covers[a]):
+            depth[b] = max(depth[b], depth[a] + 1)
     levels: dict[int, list[ClassSummary]] = {}
     for c, d in zip(q.classes, depth):
         levels.setdefault(d, []).append(c)

@@ -83,13 +83,20 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     ]
     pair = sorted(range(len(names)), key=names.__getitem__)
     if pair == list(range(len(names))):
-        # Its members and the classes around it are products of X's and Y's.
+        # Its members and the classes around it are products of X's and Y's;
+        # (X, Y) is covered by (X', Y) for X' covering X and (X, Y') for Y' covering Y.
         members = [_spread(m, w) for m in ia.masks]
+        covers_a = [_spread(m, kb) for m in ia.covers]
         index = _ClassIndex(
             tuple(x * y for x in members for y in ib.masks),
             tuple(x * kb + y for x in ia.position for y in ib.position),
             _product_masks(ia.down, ib.down, kb),
             _product_masks(ia.up, ib.up, kb),
+            tuple(
+                cx << y | cy << x * kb
+                for x, cx in enumerate(covers_a)
+                for y, cy in enumerate(ib.covers)
+            ),
         )
         return _profile(_closed_preorder(names, succ, index), tuple(ils))
     # A factor name with "*" can break pair order: sort the pairs by name, and
@@ -280,13 +287,14 @@ def monotonicity(profile: RkProfile) -> tuple[str, str]:
 
     A flag is strict when the quantity strictly increases along every strictly
     comparable pair of classes, weak when it never decreases, none otherwise;
-    incomparable classes impose no constraint.
+    incomparable classes impose no constraint.  Every comparable pair is a
+    chain of covers, so the covers decide.
     """
     q = _require_admissible(profile)
     size_strict = size_weak = limit_strict = limit_weak = True
-    for cb, d in zip(q.classes, q.down):
-        for a in _bits(d):
-            ca = q.classes[a]
+    for ca, m in zip(q.classes, q.upper_covers):
+        for b in _bits(m):
+            cb = q.classes[b]
             size_strict = size_strict and ca.size < cb.size
             size_weak = size_weak and ca.size <= cb.size
             limit_strict = limit_strict and ca.limit_count < cb.limit_count

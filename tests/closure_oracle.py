@@ -4,8 +4,10 @@
 ``warshall_close`` takes the closure with Warshall's n**2 loop over the
 successor masks; ``class_index`` reads each class off the closed masks by
 testing, for every vertex, each of its successors for the reverse relation,
-and then walks every comparable pair for the down- and up-sets.  Neither
-shares code with the library's Tarjan walk over the condensed graph.
+and then walks every comparable pair for the down- and up-sets, and for
+the covers by their definition: a strictly below b with no class strictly
+between them.  Neither shares code with the library's Tarjan walk over the
+condensed graph.
 """
 
 from __future__ import annotations
@@ -47,4 +49,9 @@ def class_index(succ: Sequence[int]) -> _ClassIndex:
         for j in _bits(succ[_least(m)] & ~m):
             up[a] |= 1 << position[j]
             down[position[j]] |= 1 << a
-    return _ClassIndex(tuple(masks), tuple(position), tuple(down), tuple(up))
+    covers = [0] * len(masks)
+    for a, u in enumerate(up):
+        for b in _bits(u):
+            if not down[b] & up[a]:
+                covers[a] |= 1 << b
+    return _ClassIndex(tuple(masks), tuple(position), tuple(down), tuple(up), tuple(covers))

@@ -3,11 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canon_oracle import full_refine, initial_cells, oracle_canonical_text
 from enum_oracle import iso_by_permutation
-from test_properties import admissible_profiles
+from test_properties import _relabeled, admissible_profiles
 from rkdist import (
     InvalidProfile,
     canonical_form,
@@ -227,13 +227,13 @@ def _two_chains(lower_upper_ils):
 @pytest.fixture()
 def searches(monkeypatch):
     calls = []
-    search = core._leaf_search
+    search = core._leaf_certificates
 
     def counted(*structure):
         calls.append(structure)
         return search(*structure)
 
-    monkeypatch.setattr(core, "_leaf_search", counted)
+    monkeypatch.setattr(core, "_leaf_certificates", counted)
     return calls
 
 
@@ -281,3 +281,108 @@ def test_is_isomorphic_checks_admissibility_before_invariants(searches):
     with pytest.raises(InvalidProfile):
         is_isomorphic(bad, get("fig2.4"))
     assert searches == []
+
+
+@pytest.fixture()
+def individualizations(monkeypatch):
+    calls = []
+    individualize = core._individualize
+
+    def counted(*args):
+        calls.append(args)
+        return individualize(*args)
+
+    monkeypatch.setattr(core, "_individualize", counted)
+    return calls
+
+
+def _structure_and_root(profile):
+    structure = core._class_structure(profile)
+    return structure, core._root_cells(*structure[:4])
+
+
+def _first_leaf(profile):
+    structure, root = _structure_and_root(profile)
+    return core._first_leaf(*structure, root)
+
+
+def _shuffled_copy(profile, seed):
+    """The profile with its vertices renamed in a shuffled order, so its classes move."""
+    names = list(profile.order.names)
+    random.Random(seed).shuffle(names)
+    return _relabeled(profile, {v: f"w{i:03d}" for i, v in enumerate(names)})
+
+
+def test_isomorphic_pair_stops_at_the_first_matching_leaf(individualizations):
+    # every leaf of fig1a^6 has the same certificate, so a's first leaf matches
+    profile = product_many([get("fig1a")] * 6)
+    twin = _shuffled_copy(profile, 9)
+    assert twin.order.names != profile.order.names
+    _first_leaf(profile)
+    _first_leaf(twin)
+    two_paths = len(individualizations)
+    for a, b in [(profile, twin), (twin, profile)]:
+        individualizations.clear()
+        assert is_isomorphic(a, b)
+        assert len(individualizations) <= two_paths
+    # while the whole walk over the profile goes further
+    individualizations.clear()
+    _search(profile)
+    _first_leaf(twin)
+    assert len(individualizations) > two_paths
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (_two_chains([(0, 0), (1, 1)]), _two_chains([(0, 1), (1, 0)])),
+        # a 4-cycle and an 8-cycle against a 12-cycle: refinement splits neither
+        (
+            _layers(REGULAR_LAYERS["two_cycles"]),
+            _layers([(i, (i + d) % 6) for i in range(6) for d in (0, 1)]),
+        ),
+    ],
+    ids=["two_chains", "cycles"],
+)
+def test_non_isomorphic_pair_walks_the_whole_tree(individualizations, p, q):
+    (sp, rp), (sq, rq) = _structure_and_root(p), _structure_and_root(q)
+    assert core._root_shape(sp, rp) == core._root_shape(sq, rq)
+    core._leaf_search(*sp, rp)
+    core._first_leaf(*sq, rq)
+    whole_tree = len(individualizations)
+    individualizations.clear()
+    assert not is_isomorphic(p, q)
+    assert len(individualizations) == whole_tree
+
+
+@st.composite
+def profile_pairs(draw):
+    """Two drawn profiles, a profile and a relabelled copy, or two two-factor products."""
+    kind = draw(st.sampled_from(["drawn", "relabelled", "products"]))
+    if kind == "drawn":
+        return draw(admissible_profiles()), draw(admissible_profiles())
+    if kind == "relabelled":
+        profile = draw(st.one_of(admissible_profiles(), bounded_posets(8), matching_layers()))
+        names = profile.order.names
+        perm = draw(st.permutations(range(len(names))))
+        return profile, _relabeled(profile, {v: f"w{perm[i]:02d}" for i, v in enumerate(names)})
+    a, b, c = (draw(st.one_of(admissible_profiles(), bounded_posets(3))) for _ in range(3))
+    return pareto_product(a, b), pareto_product(draw(st.sampled_from([a, b, c])), a)
+
+
+@given(profile_pairs())
+# the first leaf of the shifted copy matches the fifth of the original's five certificates
+@example(
+    (
+        _layers(REGULAR_LAYERS["cubic"]),
+        _layers([((i + 1) % 8, j) for i, j in REGULAR_LAYERS["cubic"]]),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_is_isomorphic_is_first_leaf_membership(pair):
+    a, b = pair
+    certificates, _ = _search(a)
+    expected = _first_leaf(b) in certificates
+    assert is_isomorphic(a, b) == expected
+    if len(a.order.names) <= 10:
+        assert iso_by_permutation(a, b) == expected

@@ -235,3 +235,24 @@ def test_deep_documents_parse_without_recursion():
         out, err, code = cli.run(["validate", "-"], doc)
         assert code in (0, 1)
         assert b"Traceback" not in out + err
+
+
+def test_deep_chain_reports_and_renders():
+    # the bottom-up order and the depths walk the covers, one per class here
+    names, chain, _ = _deep_documents()
+
+    def lines(*argv):
+        out, err, code = cli.run([*argv, "-"], chain)
+        assert (code, err) == (0, b"")
+        return out.decode().splitlines()
+
+    ils = [int(v == names[-1]) for v in names]
+    report = lines("report")
+    assert report[0] == "3001 = 3000 + 1"
+    assert report[1:] == [f"class {v} size 1 il {n}" for v, n in zip(names, ils)]
+    dot = lines("render", "--format", "dot")
+    assert sum("[label=" in line for line in dot) == 3000
+    edges = [line for line in dot if "->" in line]
+    assert edges == [f'  "{a}" -> "{b}";' for a, b in zip(names, names[1:])]
+    levels = lines("render", "--format", "ascii")
+    assert levels == [f"{v}(1,{n})" for v, n in zip(reversed(names), reversed(ils))]

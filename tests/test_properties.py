@@ -1,7 +1,7 @@
 """Algebraic invariants checked over randomly generated admissible profiles."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canon_oracle import oracle_canonical_text
 from closure_oracle import class_index, warshall_close
@@ -30,7 +30,13 @@ from rkdist import (
     validate_profile,
 )
 from rkdist import catalog, cli
-from rkdist.core import _failed_conditions, _relation_masks, _require_admissible, mutual_classes
+from rkdist.core import (
+    _bits,
+    _failed_conditions,
+    _relation_masks,
+    _require_admissible,
+    mutual_classes,
+)
 from rkdist.product import NotALattice
 
 FLAG_RANK = {"none": 0, "weak": 1, "strict": 2}
@@ -265,6 +271,40 @@ def test_public_preorder_checks_against_warshall_oracle(graph, shape):
     expected = close_preorder(names, pairs)
     assert order == expected
     assert order._classes == expected._classes
+
+
+@st.composite
+def shortcut_digraphs(draw):
+    """A digraph of digraphs() that also lists pairs of its own closure.
+
+    The added pairs jump over classes, so they are redundant and no covers,
+    or join members of one class; the covers must leave them out.
+    """
+    names, pairs = draw(digraphs())
+    sorted_names, generating = _relation_masks(names, pairs)
+    closed = warshall_close(generating)
+    implied = [(v, sorted_names[j]) for v, s in zip(sorted_names, closed) for j in _bits(s)]
+    pairs = pairs + draw(st.lists(st.sampled_from(implied), max_size=12))
+    return names, draw(st.permutations(pairs))
+
+
+@given(shortcut_digraphs())
+@example(
+    (
+        ["a", "b", "c", "d", "e"],
+        [("a", "b"), ("b", "c"), ("c", "b"), ("a", "c"), ("c", "d")]
+        + [("a", "d"), ("b", "e"), ("d", "e"), ("a", "e")],
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_covers_leave_out_redundant_pairs(graph):
+    names, pairs = graph
+    order = close_preorder(names, pairs)
+    index = class_index(warshall_close(_relation_masks(names, pairs)[1]))
+    assert order._classes == index
+    assert Preorder(order.vertices, order.leq)._classes == index
+    q = quotient(RkProfile(order, {c: 1 for c in mutual_classes(order)}))
+    assert q.upper_covers == index.covers
 
 
 @given(
