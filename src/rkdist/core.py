@@ -507,31 +507,31 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
     q = profile._quotient
     failed = _failed_conditions([c.size for c in q.classes], profile.limit_counts, q.down, q.up)
     nverts = len(profile.order.names)
-    least, greatest = q.least(), q.greatest()
+    minimal = [c for c, d in zip(q.classes, q.down) if not d]
+    maximal = [c for c, u in zip(q.classes, q.up) if not u]
+    least = minimal[0] if len(minimal) == 1 else None
+    greatest = maximal[0] if len(maximal) == 1 else None
     if least is None:
-        minimal = ", ".join(c.representative for c, d in zip(q.classes, q.down) if not d)
-        v1 = f"no unique least class (minimal: {minimal})"
+        v1 = f"no unique least class (minimal: {', '.join(c.representative for c in minimal)})"
         v2 = "no unique least class"
     else:
-        v1 = f"least class {least}"
-        c = q.summary(least)
+        v1 = f"least class {least.representative}"
         if "V2" not in failed:
-            v2 = f"least class {least} is a singleton with limit count 0"
-        elif c.size != 1:
-            v2 = f"least class {least} has size {c.size}"
+            v2 = f"least class {least.representative} is a singleton with limit count 0"
+        elif least.size != 1:
+            v2 = f"least class {least.representative} has size {least.size}"
         else:
-            v2 = f"least class {least} has limit count {c.limit_count}"
+            v2 = f"least class {least.representative} has limit count {least.limit_count}"
     if greatest is None:
-        maximal = ", ".join(c.representative for c, u in zip(q.classes, q.up) if not u)
-        v3 = f"no unique greatest class (maximal: {maximal})"
+        v3 = f"no unique greatest class (maximal: {', '.join(c.representative for c in maximal)})"
     else:
-        v3 = f"greatest class {greatest}"
+        v3 = f"greatest class {greatest.representative}"
     if nverts <= 1:
         v4 = "single vertex, nothing required"
     elif greatest is None:
         v4 = "no unique greatest class"
     else:
-        v4 = f"greatest class {greatest} has limit count {q.summary(greatest).limit_count}"
+        v4 = f"greatest class {greatest.representative} has limit count {greatest.limit_count}"
     if "V5" in failed:
         bad = next(c for c in q.classes if c.size > 1 and not c.limit_count)
         v5 = f"class {bad.representative} has size {bad.size} but limit count 0"
@@ -693,11 +693,11 @@ _Certificate = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ..
 
 
 def _root_cells(
-    sizes: list[int], ils: list[int], down: list[int], up: list[int]
+    keys: list[tuple[int, int, int, int]], down: list[int], up: list[int]
 ) -> list[list[int]]:
     """The refined partition into initial cells, the root of the search tree."""
     initial: dict[tuple[int, int, int, int], list[int]] = {}
-    for e, key in enumerate(_cell_keys(sizes, ils, down, up)):
+    for e, key in enumerate(keys):
         initial.setdefault(key, []).append(e)
     return _refine([initial[key] for key in sorted(initial)], down, up)
 
@@ -782,10 +782,12 @@ def _leaf_certificates(
     the same reason.  Only automorphic images of explored subtrees are
     skipped, so every certificate of the whole tree is found (McKay and
     Piperno, "Practical graph isomorphism, II", 2014).  A caller that stops
-    early skips the rest of the walk.
+    early skips the rest of the walk.  The first certificate is always the
+    first leaf's, reached by individualizing the least member of each target
+    cell, since no automorphism is recorded before it.
     """
     if cells is None:
-        cells = _root_cells(sizes, ils, down, up)
+        cells = _root_cells(_cell_keys(sizes, ils, down, up), down, up)
     # certificate -> (leaf order, individualized class per level) of its first leaf
     seen: dict[_Certificate, tuple[list[int], list[int]]] = {}
     generators: list[list[int]] = []
@@ -825,22 +827,6 @@ def _leaf_certificates(
         cells = _individualize(node.cells, node.target, child, down, up)
 
 
-def _leaf_search(*structure) -> tuple[list[_Certificate], int]:
-    """Distinct leaf certificates of the search tree, in the order found, and leaves visited.
-
-    Takes the arguments of :func:`_leaf_certificates` and drains it.  The
-    enumeration, which runs thousands of small searches and needs no leaf
-    count, drains it with ``list``, which costs less.
-    """
-    walk = _leaf_certificates(*structure)
-    certificates: list[_Certificate] = []
-    while True:
-        try:
-            certificates.append(next(walk))
-        except StopIteration as done:
-            return certificates, done.value
-
-
 def _next_child(node: _Node, prefix: list[int], generators: list[list[int]]) -> int | None:
     """The node's next child outside the orbits of its explored children, marked explored."""
     for g in generators[node.generators_checked :]:
@@ -855,23 +841,6 @@ def _next_child(node: _Node, prefix: list[int], generators: list[list[int]]) -> 
         node.explored.append(e)
         return e
     return None
-
-
-def _first_leaf(
-    sizes: list[int],
-    ils: list[int],
-    down: list[int],
-    up: list[int],
-    covers: list[tuple[int, int]],
-    cells: list[list[int]],
-) -> _Certificate:
-    """_Certificate of the search tree's first leaf below the root ``cells``.
-
-    Always individualize the least class.
-    """
-    while (t := _target(cells)) is not None:
-        cells = _individualize(cells, t, min(cells[t]), down, up)
-    return _certificate([c[0] for c in cells], sizes, ils, covers)
 
 
 def _document(cert: _Certificate, cw: int, mw: int) -> bytes:
@@ -894,39 +863,30 @@ def _least_document(certificates: list[_Certificate]) -> bytes:
 def canonical_form(profile: RkProfile) -> CanonicalProfile:
     """Relabel by a canonical class ordering and serialize; minimum over leaf certificates."""
     _require_admissible(profile)
-    certificates, _ = _leaf_search(*_class_structure(profile))
+    certificates = list(_leaf_certificates(*_class_structure(profile)))
     return CanonicalProfile(_least_document(certificates))
-
-
-def _invariants(structure) -> tuple[int, int, list[tuple[int, int, int, int]]]:
-    sizes, ils, down, up, _ = structure
-    return sum(sizes), len(sizes), sorted(_cell_keys(sizes, ils, down, up))
-
-
-def _root_shape(structure, cells: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
-    """(initial cell key, size) of each root cell in order; isomorphic profiles agree on it."""
-    keys = _cell_keys(*structure[:4])
-    return [(keys[c[0]], len(c)) for c in cells]
 
 
 def is_isomorphic(a: RkProfile, b: RkProfile) -> bool:
     """True iff the profiles are isomorphic as IL-labeled preorders.
 
-    Profiles whose vertex count, class count, initial cell keys or refined
-    root partitions differ are told apart without a search.  Otherwise the
-    search over a stops at the first leaf whose certificate is b's first.
+    Profiles whose multisets of initial cell keys, which fix the vertex and
+    class counts, or whose refined root partitions differ are told apart
+    without a search.  Otherwise the search over a stops at the first leaf
+    whose certificate is b's first.
     """
     _require_admissible(a)
     _require_admissible(b)
     sa, sb = _class_structure(a), _class_structure(b)
-    if _invariants(sa) != _invariants(sb):
+    ka, kb = _cell_keys(*sa[:4]), _cell_keys(*sb[:4])
+    if sorted(ka) != sorted(kb):
         return False
     # Refinement is isomorphism-invariant, and the search starts from these cells.
-    ra, rb = _root_cells(*sa[:4]), _root_cells(*sb[:4])
-    if _root_shape(sa, ra) != _root_shape(sb, rb):
+    ra, rb = _root_cells(ka, *sa[2:4]), _root_cells(kb, *sb[2:4])
+    if [(ka[c[0]], len(c)) for c in ra] != [(kb[c[0]], len(c)) for c in rb]:
         return False
     # Isomorphic profiles have the same certificates over their whole search
     # trees, and equal certificates mean equal relabelled structures, so one
     # leaf of b decides, and the walk over a stops at the first match.
-    target = _first_leaf(*sb, rb)
+    target = next(_leaf_certificates(*sb, rb))
     return target in _leaf_certificates(*sa, ra)

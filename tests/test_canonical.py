@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canon_oracle import full_refine, initial_cells, oracle_canonical_text
+from canon_oracle import discrete_orders, full_refine, initial_cells, oracle_canonical_text
 from enum_oracle import iso_by_permutation
 from test_properties import _relabeled, admissible_profiles
 from rkdist import (
@@ -22,8 +22,18 @@ from rkdist import (
 from rkdist.catalog import BASE_NAMES, get
 
 
+def _drain(walk):
+    """The certificates a leaf walk yields, in the order found, and the leaves it visited."""
+    certificates = []
+    while True:
+        try:
+            certificates.append(next(walk))
+        except StopIteration as done:
+            return certificates, done.value
+
+
 def _search(profile):
-    return core._leaf_search(*core._class_structure(profile))
+    return _drain(core._leaf_certificates(*core._class_structure(profile)))
 
 
 @pytest.mark.parametrize("value", [1, 2, 3])
@@ -63,7 +73,7 @@ def _refinements_agree(profile, rng):
     """The library's root and its cells after each individualization along one random
     path equal full passes of the oracle's refinement over the same cells."""
     sizes, ils, down, up, _ = core._class_structure(profile)
-    cells = core._root_cells(sizes, ils, down, up)
+    cells = core._root_cells(core._cell_keys(sizes, ils, down, up), down, up)
     assert cells == full_refine(initial_cells(sizes, ils, down, up), down, up)
     while (t := core._target(cells)) is not None:
         e = rng.choice(cells[t])
@@ -237,15 +247,31 @@ def searches(monkeypatch):
     return calls
 
 
+def _structure_and_root(profile):
+    structure = core._class_structure(profile)
+    return structure, core._root_cells(core._cell_keys(*structure[:4]), *structure[2:4])
+
+
+def _sorted_keys(profile):
+    return sorted(core._cell_keys(*core._class_structure(profile)[:4]))
+
+
+def _root_shape(profile):
+    """(initial cell key, size) of each refined root cell in order; isomorphic profiles agree."""
+    structure, root = _structure_and_root(profile)
+    keys = core._cell_keys(*structure[:4])
+    return [(keys[c[0]], len(c)) for c in root]
+
+
 def test_equal_invariants_reach_the_search(searches):
     p = _two_chains([(0, 0), (1, 1)])
     q = _two_chains([(0, 1), (1, 0)])
-    assert core._invariants(core._class_structure(p)) == core._invariants(
-        core._class_structure(q)
-    )
+    assert _sorted_keys(p) == _sorted_keys(q)
+    assert _root_shape(p) == _root_shape(q)
     assert not is_isomorphic(p, q)
     assert not iso_by_permutation(p, q)
-    assert len(searches) == 1
+    # one walk for q's first leaf, one over p
+    assert len(searches) == 2
 
 
 def test_differing_refined_roots_skip_the_search(searches):
@@ -253,9 +279,8 @@ def test_differing_refined_roots_skip_the_search(searches):
     # class lies below a degree-1 upper class, which splits its cell
     p = _layers([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
     q = _layers([(0, 0), (0, 1), (1, 1), (1, 2), (2, 0)])
-    sp, sq = core._class_structure(p), core._class_structure(q)
-    assert core._invariants(sp) == core._invariants(sq)
-    assert len(core._root_cells(*sp[:4])) < len(core._root_cells(*sq[:4]))
+    assert _sorted_keys(p) == _sorted_keys(q)
+    assert len(_structure_and_root(p)[1]) < len(_structure_and_root(q)[1])
     assert not is_isomorphic(p, q) and not is_isomorphic(q, p)
     assert not iso_by_permutation(p, q)
     assert searches == []
@@ -269,9 +294,19 @@ def test_differing_refined_roots_skip_the_search(searches):
         ("fig2.2", "fig2.3"),  # initial cell keys
     ],
 )
-def test_differing_invariants_skip_the_search(searches, a, b):
+def test_differing_invariants_skip_the_search(searches, monkeypatch, a, b):
+    # the sorted cell keys tell these apart before any refinement
+    assert _sorted_keys(get(a)) != _sorted_keys(get(b))
+    refinements = []
+    refine = core._refine
+
+    def counted(*args):
+        refinements.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(core, "_refine", counted)
     assert not is_isomorphic(get(a), get(b))
-    assert searches == []
+    assert searches == [] and refinements == []
 
 
 def test_is_isomorphic_checks_admissibility_before_invariants(searches):
@@ -296,14 +331,22 @@ def individualizations(monkeypatch):
     return calls
 
 
-def _structure_and_root(profile):
-    structure = core._class_structure(profile)
-    return structure, core._root_cells(*structure[:4])
-
-
 def _first_leaf(profile):
-    structure, root = _structure_and_root(profile)
-    return core._first_leaf(*structure, root)
+    """The certificate of the oracle's first discrete order, which individualizes the least
+    member of each target cell and refines with the oracle's own passes."""
+    sizes, ils, down, up, covers = core._class_structure(profile)
+    order = next(discrete_orders(sizes, ils, down, up))
+    pos = {e: p for p, e in enumerate(order)}
+    return (
+        tuple(sizes[e] for e in order),
+        tuple(ils[e] for e in order),
+        tuple(sorted((pos[a], pos[b]) for a, b in covers)),
+    )
+
+
+def _first_certificate(profile):
+    """The library walk's first certificate; the walk individualizes only along its path."""
+    return next(core._leaf_certificates(*core._class_structure(profile)))
 
 
 def _shuffled_copy(profile, seed):
@@ -318,8 +361,8 @@ def test_isomorphic_pair_stops_at_the_first_matching_leaf(individualizations):
     profile = product_many([get("fig1a")] * 6)
     twin = _shuffled_copy(profile, 9)
     assert twin.order.names != profile.order.names
-    _first_leaf(profile)
-    _first_leaf(twin)
+    _first_certificate(profile)
+    _first_certificate(twin)
     two_paths = len(individualizations)
     for a, b in [(profile, twin), (twin, profile)]:
         individualizations.clear()
@@ -328,7 +371,7 @@ def test_isomorphic_pair_stops_at_the_first_matching_leaf(individualizations):
     # while the whole walk over the profile goes further
     individualizations.clear()
     _search(profile)
-    _first_leaf(twin)
+    _first_certificate(twin)
     assert len(individualizations) > two_paths
 
 
@@ -346,9 +389,9 @@ def test_isomorphic_pair_stops_at_the_first_matching_leaf(individualizations):
 )
 def test_non_isomorphic_pair_walks_the_whole_tree(individualizations, p, q):
     (sp, rp), (sq, rq) = _structure_and_root(p), _structure_and_root(q)
-    assert core._root_shape(sp, rp) == core._root_shape(sq, rq)
-    core._leaf_search(*sp, rp)
-    core._first_leaf(*sq, rq)
+    assert _root_shape(p) == _root_shape(q)
+    _drain(core._leaf_certificates(*sp, rp))
+    next(core._leaf_certificates(*sq, rq))
     whole_tree = len(individualizations)
     individualizations.clear()
     assert not is_isomorphic(p, q)
@@ -382,7 +425,10 @@ def profile_pairs(draw):
 def test_is_isomorphic_is_first_leaf_membership(pair):
     a, b = pair
     certificates, _ = _search(a)
-    expected = _first_leaf(b) in certificates
+    first = _first_leaf(b)
+    assert _first_certificate(b) == first
+    expected = first in certificates
     assert is_isomorphic(a, b) == expected
+    assert expected == (canonical_form(a).canonical_text == canonical_form(b).canonical_text)
     if len(a.order.names) <= 10:
         assert iso_by_permutation(a, b) == expected

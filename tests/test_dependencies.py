@@ -1,4 +1,5 @@
-"""The package has no runtime dependencies: it imports only the standard library."""
+"""The package has no runtime dependencies: it imports only the standard library,
+and it keeps no private helper that only the tests call."""
 
 import ast
 import sys
@@ -22,3 +23,47 @@ def test_absolute_imports_are_stdlib(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert imported - sys.stdlib_module_names == set()
+
+
+def _bound_names(statement):
+    """The names a top-level statement defines or imports."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Import, ast.ImportFrom)):
+        return [(alias.asname or alias.name).split(".")[0] for alias in statement.names]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _referenced_names(statement):
+    """The names a statement reads, imports from elsewhere or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_private_names_are_used_in_src():
+    # A top-level statement's references count for every statement but itself,
+    # so a helper called only from its own body or from the tests is flagged.
+    statements = [
+        (path.name, statement)
+        for path in SOURCES
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    references = [_referenced_names(statement) for _, statement in statements]
+    unused = []
+    for i, (module, statement) in enumerate(statements):
+        for name in _bound_names(statement):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in refs for j, refs in enumerate(references) if j != i):
+                unused.append(f"{module}: {name}")
+    assert unused == []
