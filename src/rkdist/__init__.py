@@ -31,7 +31,7 @@ from .core import (
     validate_profile,
 )
 from .enumeration import EnumerationResult, InvalidTotal, enumerate_profiles
-from .io import ProfileDocument, parse, render_ascii, render_dot, serialize
+from .io import parse, render_ascii, render_dot, serialize
 from .product import (
     EmptyFactorList,
     FactorMismatch,

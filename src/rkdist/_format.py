@@ -1,4 +1,4 @@
-"""Line composer for the "rkp 1" document format.
+"""Document writer for the "rkp 1" format.
 
 Shared by the serializer and by canonical-form construction so that both emit
 byte-identical documents for the same labeled structure.
@@ -6,15 +6,17 @@ byte-identical documents for the same labeled structure.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 HEADER = "rkp 1"
 
 
-def compose_lines(
-    members_by_class: list[list[str]],
-    limit_counts: list[int],
-    cover_pairs: list[tuple[int, int]],
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Build the vertex/le/il line groups of a document.
+def document(
+    members_by_class: Sequence[Sequence[str]],
+    limit_counts: Sequence[int],
+    cover_pairs: Sequence[tuple[int, int]],
+) -> bytes:
+    """The document of a labeled structure: header, vertex, le and il lines.
 
     ``members_by_class[i]`` holds the vertex names of one domination class,
     ``limit_counts[i]`` its limit count, and ``cover_pairs`` the Hasse cover
@@ -24,23 +26,13 @@ def compose_lines(
     members = [sorted(ms) for ms in members_by_class]
     class_order = sorted(range(len(members)), key=lambda i: members[i][0])
 
-    vertex_lines = tuple(f"vertex {v}" for v in sorted(v for ms in members for v in ms))
-
-    le_lines: list[str] = []
+    lines = [HEADER]
+    lines.extend(f"vertex {v}" for v in sorted(v for ms in members for v in ms))
     for i in class_order:
         ms = members[i]
         if len(ms) > 1:
-            le_lines.extend(f"le {ms[j]} {ms[(j + 1) % len(ms)]}" for j in range(len(ms)))
-    le_lines.extend(sorted(f"le {members[a][0]} {members[b][0]}" for a, b in cover_pairs))
-
-    il_lines = tuple(f"il {members[i][0]} {limit_counts[i]}" for i in class_order)
-    return vertex_lines, tuple(le_lines), il_lines
-
-
-def document_bytes(
-    vertex_lines: tuple[str, ...],
-    le_lines: tuple[str, ...],
-    il_lines: tuple[str, ...],
-) -> bytes:
+            lines.extend(f"le {ms[j]} {ms[(j + 1) % len(ms)]}" for j in range(len(ms)))
+    lines.extend(sorted(f"le {members[a][0]} {members[b][0]}" for a, b in cover_pairs))
+    lines.extend(f"il {members[i][0]} {limit_counts[i]}" for i in class_order)
     # LF line endings and a trailing newline, always.
-    return ("\n".join([HEADER, *vertex_lines, *le_lines, *il_lines]) + "\n").encode("utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -22,6 +22,7 @@ from .core import (
     _require_admissible,
     counts,
     is_isomorphic,
+    quotient,
     validate_profile,
 )
 
@@ -54,6 +55,8 @@ def _load(path: str, stdin: bytes) -> RkProfile:
             data = fh.read()
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # open() refuses a path with a NUL byte
+        raise _Usage(f"cannot read {path}: {exc}") from exc
     return io.parse(data)
 
 
@@ -66,10 +69,13 @@ def _write_out(data: bytes, dest: str | None, out) -> None:
             fh.write(data)
     except OSError as exc:
         raise _Usage(f"cannot write {dest}: {exc.strerror}") from exc
+    except ValueError as exc:  # open() refuses a path with a NUL byte
+        raise _Usage(f"cannot write {dest}: {exc}") from exc
 
 
 def _emit(out, text: str) -> None:
-    out.write((text + "\n").encode("utf-8"))
+    # An argument that is not UTF-8 arrives with lone surrogates; write its bytes back.
+    out.write((text + "\n").encode("utf-8", "surrogateescape"))
 
 
 def _equation(report) -> str:
@@ -174,7 +180,8 @@ def _cmd_check(args, stdin, out, err) -> int:
         size_flag, limit_flag = product.monotonicity(profile)
         _emit(out, f"size={size_flag} limit={limit_flag}")
         return ExitStatus.OK
-    q = _require_admissible(profile)
+    _require_admissible(profile)
+    q = quotient(profile)
     if args.lattice:
         ok = product.is_lattice(q)
     else:

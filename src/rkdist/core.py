@@ -413,15 +413,6 @@ class QuotientPoset:
         reps = [c.representative for c in self.classes]
         return frozenset((reps[a], reps[b]) for b, d in enumerate(self.down) for a in _bits(d))
 
-    def summary(self, representative: str) -> ClassSummary:
-        for c in self.classes:
-            if c.representative == representative:
-                return c
-        raise KeyError(representative)
-
-    def le(self, x: str, y: str) -> bool:
-        return x == y or (x, y) in self.below
-
     def least(self) -> str | None:
         """The least class, if any; in a finite poset, the minimal class when it is unique."""
         minimal = [c.representative for c, d in zip(self.classes, self.down) if not d]
@@ -435,11 +426,7 @@ class QuotientPoset:
     def covers(self) -> tuple[tuple[str, str], ...]:
         """Hasse cover pairs: (a, b) with a strictly below b and nothing in between."""
         reps = [c.representative for c in self.classes]
-        return tuple((reps[a], reps[b]) for a, b in self._cover_positions())
-
-    def _cover_positions(self) -> list[tuple[int, int]]:
-        """Sorted (lower, upper) positions of the cover pairs."""
-        return [(a, b) for a, m in enumerate(self.upper_covers) for b in _bits(m)]
+        return tuple((reps[a], reps[b]) for a, b in _cover_pairs(self.upper_covers))
 
     def _linear_extension(self) -> list[int]:
         """Class positions bottom up, each time the lowest-positioned class that is ready.
@@ -465,8 +452,17 @@ class QuotientPoset:
         return order
 
 
+def _cover_pairs(upper_covers: Sequence[int]) -> list[tuple[int, int]]:
+    """Sorted (lower, upper) positions of the cover pairs, from each class's upper-cover mask."""
+    return [(a, b) for a, m in enumerate(upper_covers) for b in _bits(m)]
+
+
 def quotient(profile: RkProfile) -> QuotientPoset:
-    """Collapse mutual domination; class X sits below Y iff its members are dominated by Y's."""
+    """Collapse mutual domination; class X sits below Y iff its members are dominated by Y's.
+
+    The quotient is the class index with names; operations that print no class
+    representative read the index and never build it.
+    """
     return profile._quotient
 
 
@@ -501,11 +497,11 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
     0; V3 unique greatest class; V4 with more than one vertex the greatest
     class has a positive limit count; V5 every multi-member class has a
     positive limit count; V6 (informational) the total model count is at
-    least 2.  The verdicts on V1-V5 are those of :func:`_failed_conditions`,
-    which every operation's admissibility check reads too; this only words them.
+    least 2.  The verdicts on V1-V5 are those of :func:`_failed`, which every
+    operation's admissibility check reads too; this only words them.
     """
+    failed = _failed(profile)
     q = profile._quotient
-    failed = _failed_conditions([c.size for c in q.classes], profile.limit_counts, q.down, q.up)
     nverts = len(profile.order.names)
     minimal = [c for c, d in zip(q.classes, q.down) if not d]
     maximal = [c for c, u in zip(q.classes, q.up) if not u]
@@ -573,13 +569,18 @@ def _failed_conditions(
     return failed
 
 
-def _require_admissible(profile: RkProfile) -> QuotientPoset:
-    """The profile's quotient; raises InvalidProfile unless V1-V5 hold."""
-    q = profile._quotient
-    failed = _failed_conditions([c.size for c in q.classes], profile.limit_counts, q.down, q.up)
+def _failed(profile: RkProfile) -> list[str]:
+    """Codes of the conditions V1-V5 that the profile fails, read off its class index."""
+    index = profile.order._classes
+    sizes = [m.bit_count() for m in index.masks]
+    return _failed_conditions(sizes, profile.limit_counts, index.down, index.up)
+
+
+def _require_admissible(profile: RkProfile) -> None:
+    """Raise InvalidProfile unless V1-V5 hold."""
+    failed = _failed(profile)
     if failed:
         raise InvalidProfile("profile fails " + ", ".join(failed))
-    return q
 
 
 @dataclass(frozen=True)
@@ -595,7 +596,8 @@ class DecompositionReport:
 
 def counts(profile: RkProfile) -> DecompositionReport:
     """Prime, limit and total model counts; class terms in topological order."""
-    q = _require_admissible(profile)
+    _require_admissible(profile)
+    q = quotient(profile)
     ordered = tuple(q.classes[i] for i in q._linear_extension())
     prime = sum(c.size for c in ordered)
     limit = sum(c.limit_count for c in ordered)
@@ -617,9 +619,9 @@ class CanonicalProfile:
 
 def _class_structure(profile: RkProfile):
     """Per-class sizes, limit counts, strictly-below/above masks and Hasse cover pairs."""
-    q = profile._quotient
-    sizes = [c.size for c in q.classes]
-    return sizes, profile.limit_counts, q.down, q.up, q._cover_positions()
+    index = profile.order._classes
+    sizes = [m.bit_count() for m in index.masks]
+    return sizes, profile.limit_counts, index.down, index.up, _cover_pairs(index.covers)
 
 
 def _cell_keys(
@@ -849,7 +851,7 @@ def _document(cert: _Certificate, cw: int, mw: int) -> bytes:
         [f"n{p:0{cw}d}"] if size == 1 else [f"n{p:0{cw}d}_{j:0{mw}d}" for j in range(size)]
         for p, size in enumerate(sizes)
     ]
-    return _format.document_bytes(*_format.compose_lines(members, list(ils), list(covers)))
+    return _format.document(members, ils, covers)
 
 
 def _least_document(certificates: list[_Certificate]) -> bytes:

@@ -85,15 +85,6 @@ def _bounded_posets(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(found.values())
 
 
-def _compositions_positive(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions_positive(n - first, k - 1):
-            yield (first, *rest)
-
-
 def _compositions_nonneg(total: int, slots: int) -> Iterator[tuple[int, ...]]:
     if slots == 0:
         if total == 0:
@@ -125,9 +116,10 @@ def enumerate_profiles(
         budget = total - n
         for k in range(2, n + 1):
             shapes = None
-            for rest in _compositions_positive(n - 1, k - 1):
-                sizes = (1, *rest)
-                floors = [0] + [1 if s > 1 else 0 for s in rest]
+            # The least class is a singleton; the n - k spare vertices go to the others.
+            for rest in _compositions_nonneg(n - k, k - 1):
+                sizes = (1, *(r + 1 for r in rest))
+                floors = [0] + [1 if s > 1 else 0 for s in sizes[1:]]
                 floors[k - 1] = max(floors[k - 1], 1)
                 spare = budget - sum(floors)
                 if spare < 0:

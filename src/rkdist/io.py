@@ -18,7 +18,6 @@ representatives, il lines on representatives, LF endings, trailing newline.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from . import _format
 from .core import (
@@ -29,10 +28,12 @@ from .core import (
     UnknownVertex,
     _bits,
     _checked_counts,
+    _cover_pairs,
     _label_classes,
     _profile,
     _require_admissible,
     close_preorder,
+    quotient,
 )
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "MalformedLine",
     "MissingIl",
     "ParseError",
-    "ProfileDocument",
     "parse",
     "render_ascii",
     "render_dot",
@@ -160,38 +160,19 @@ def parse(text: bytes | str) -> RkProfile:
     return _profile(order, _checked_counts(order, positions, [count for _, count, _ in ils]))
 
 
-@dataclass(frozen=True)
-class ProfileDocument:
-    """The canonical line groups of a serialized profile."""
-
-    vertex_lines: tuple[str, ...]
-    le_lines: tuple[str, ...]
-    il_lines: tuple[str, ...]
-    header: str = _format.HEADER
-
-    @classmethod
-    def from_profile(cls, profile: RkProfile) -> "ProfileDocument":
-        q = _require_admissible(profile)
-        names = profile.order.names
-        members = [[names[j] for j in _bits(m)] for m in profile.order._classes.masks]
-        covers = q._cover_positions()
-        return cls(*_format.compose_lines(members, list(profile.limit_counts), covers))
-
-    def text(self) -> str:
-        return self.encode().decode("utf-8")
-
-    def encode(self) -> bytes:
-        return _format.document_bytes(self.vertex_lines, self.le_lines, self.il_lines)
-
-
 def serialize(profile: RkProfile) -> bytes:
     """Deterministic canonical document for a valid profile."""
-    return ProfileDocument.from_profile(profile).encode()
+    _require_admissible(profile)
+    names = profile.order.names
+    index = profile.order._classes
+    members = [[names[j] for j in _bits(m)] for m in index.masks]
+    return _format.document(members, profile.limit_counts, _cover_pairs(index.covers))
 
 
 def render_dot(profile: RkProfile) -> bytes:
     """Directed-graph document: one node per class, one edge per Hasse cover, bottom to top."""
-    q = _require_admissible(profile)
+    _require_admissible(profile)
+    q = quotient(profile)
     lines = ["digraph rk {", "  rankdir=BT;"]
     for c in q.classes:
         lines.append(
@@ -206,7 +187,8 @@ def render_dot(profile: RkProfile) -> bytes:
 
 def render_ascii(profile: RkProfile) -> bytes:
     """Leveled drawing by longest-chain depth from the least class, bottom line last."""
-    q = _require_admissible(profile)
+    _require_admissible(profile)
+    q = quotient(profile)
     # Bottom up, a class's depth is final before it passes it on to its covers.
     depth = [0] * len(q.classes)
     for a in q._linear_extension():

@@ -21,6 +21,7 @@ from .core import (
     RkProfile,
     _bits,
     _ClassIndex,
+    _class_structure,
     _closed_preorder,
     _closure_index,
     _least,
@@ -67,9 +68,8 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     """Coordinatewise product; class (X, Y) gets limit count Xl*|Y| + |X|*Yl + Xl*Yl."""
     names = _product_names(a, b)
     ia, ib = a.order._classes, b.order._classes
-    qa, qb = a._quotient.classes, b._quotient.classes
     sb = b.order.succ
-    w, kb = len(sb), len(qb)
+    w, kb = len(sb), len(ib.masks)
     # Pair (i, j) sits at i*w + j, so its successors, the pairs of successors,
     # are copies of sb[j] (below 2**w) shifted to every successor of i: a product.
     # The members of a class of a share their successors, so spread once per class.
@@ -77,9 +77,9 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     succ = [spread[p] * s for p in ia.position for s in sb]
     # Class (X, Y) sits at X*kb + Y, the order of its least member (least X, least Y).
     ils = [
-        x.limit_count * y.size + (x.size + x.limit_count) * y.limit_count
-        for x in qa
-        for y in qb
+        xl * y.bit_count() + (x.bit_count() + xl) * yl
+        for x, xl in zip(ia.masks, a.limit_counts)
+        for y, yl in zip(ib.masks, b.limit_counts)
     ]
     pair = sorted(range(len(names)), key=names.__getitem__)
     if pair == list(range(len(names))):
@@ -290,15 +290,14 @@ def monotonicity(profile: RkProfile) -> tuple[str, str]:
     incomparable classes impose no constraint.  Every comparable pair is a
     chain of covers, so the covers decide.
     """
-    q = _require_admissible(profile)
+    _require_admissible(profile)
+    sizes, ils, _, _, covers = _class_structure(profile)
     size_strict = size_weak = limit_strict = limit_weak = True
-    for ca, m in zip(q.classes, q.upper_covers):
-        for b in _bits(m):
-            cb = q.classes[b]
-            size_strict = size_strict and ca.size < cb.size
-            size_weak = size_weak and ca.size <= cb.size
-            limit_strict = limit_strict and ca.limit_count < cb.limit_count
-            limit_weak = limit_weak and ca.limit_count <= cb.limit_count
+    for a, b in covers:
+        size_strict = size_strict and sizes[a] < sizes[b]
+        size_weak = size_weak and sizes[a] <= sizes[b]
+        limit_strict = limit_strict and ils[a] < ils[b]
+        limit_weak = limit_weak and ils[a] <= ils[b]
 
     def flag(strict: bool, weak: bool) -> str:
         return "strict" if strict else "weak" if weak else "none"

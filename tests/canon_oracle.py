@@ -92,12 +92,10 @@ def oracle_canonical_text(profile: RkProfile) -> bytes:
             else:
                 members.append([f"n{p:0{cw}d}_{j:0{mw}d}" for j in range(sizes[orig])])
         texts.append(
-            _format.document_bytes(
-                *_format.compose_lines(
-                    members,
-                    [ils[orig] for orig in order],
-                    [(pos[a], pos[b]) for a, b in covers],
-                )
+            _format.document(
+                members,
+                [ils[orig] for orig in order],
+                [(pos[a], pos[b]) for a, b in covers],
             )
         )
     return min(texts)

@@ -215,6 +215,31 @@ def test_usage_errors_exit_2(files):
         assert code == 2, argv
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "a\x00b"], b"error: cannot read a\x00b: embedded null byte\n"),
+        (["iso", "FIG1A", "a\x00"], b"error: cannot read a\x00: embedded null byte\n"),
+        (
+            ["catalog", "show", "fig1a", "-o", "x\x00y"],
+            b"error: cannot write x\x00y: embedded null byte\n",
+        ),
+    ],
+)
+def test_path_with_nul_byte_exits_2(files, argv, message):
+    argv = [files["fig1a"] if word == "FIG1A" else word for word in argv]
+    out, err, code = run(argv)
+    assert (out, err, code) == (b"", message, 2)
+
+
+def test_path_not_valid_utf8_exits_2(tmp_path):
+    # The command line hands such bytes over as lone surrogates; they go back out as bytes.
+    path = str(tmp_path / "a\udcffb.rkp")
+    out, err, code = run(["validate", path])
+    assert (out, code) == (b"", 2)
+    assert err.startswith(b"error: cannot read ") and b"a\xffb.rkp" in err
+
+
 def test_parse_error_exits_2(tmp_path):
     bad = tmp_path / "bad.rkp"
     bad.write_bytes(b"rkp 1\nvertex a\nle a zz\nil a 0\n")

@@ -11,7 +11,9 @@ from rkdist import (
     counts,
     is_isomorphic,
     make_profile,
+    monotonicity,
     pareto_product,
+    product_many,
     quotient,
     validate_profile,
 )
@@ -84,7 +86,7 @@ def test_quotient_two_singleton_classes():
 def test_quotient_oval_variant_class_sizes():
     q = quotient(get("fig1b.2"))
     assert sorted(c.size for c in q.classes) == [1, 2]
-    assert q.summary("b").limit_count == 1
+    assert next(c for c in q.classes if c.representative == "b").limit_count == 1
 
 
 def test_quotient_single_vertex():
@@ -378,3 +380,22 @@ def test_operations_never_build_the_pair_relation():
         # leq is derived on first use and then cached on the instance
         assert "leq" not in vars(order)
     assert p.order.leq and "leq" in vars(p.order)
+
+
+def test_integer_paths_never_build_the_name_view():
+    # The quotient holds one named ClassSummary per class; it is built only
+    # where class names are printed, and everything else reads the class index.
+    a, b, c = (parse(serialize(get(name))) for name in ("fig1b.2", "fig2.8", "diamond4"))
+    ab = pareto_product(a, b)
+    abc = product_many([a, b, c])
+    cba = product_many([c, b, a])
+    canonical_form(ab)
+    assert is_isomorphic(abc, cba)
+    assert not is_isomorphic(ab, c)
+    serialize(abc)
+    monotonicity(cba)
+    monotonicity(a)
+    for p in (a, b, c, ab, abc, cba):
+        assert "_quotient" not in vars(p)
+    quotient(a)
+    assert "_quotient" in vars(a)

@@ -1,13 +1,16 @@
 """The package has no runtime dependencies: it imports only the standard library,
-and it keeps no private helper that only the tests call."""
+it keeps no private helper that only the tests call, and no public method that
+nothing calls."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "rkdist").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_sources_found():
@@ -67,3 +70,27 @@ def test_private_names_are_used_in_src():
             if not any(name in refs for j, refs in enumerate(references) if j != i):
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def test_public_methods_are_read():
+    # A public method or property of a class in src/ must be read as an
+    # attribute somewhere in src/ or tests/, outside its own body.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES + TESTS}
+    reads = Counter(
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    )
+    unread = []
+    for path in SOURCES:
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                own = sum(isinstance(n, ast.Attribute) and n.attr == fn.name for n in ast.walk(fn))
+                if reads[fn.name] == own:
+                    unread.append(f"{path.name}: {cls.name}.{fn.name}")
+    assert unread == []

@@ -17,7 +17,6 @@ from rkdist.io import (
     DuplicateVertex,
     MalformedLine,
     MissingIl,
-    ProfileDocument,
     parse,
     render_ascii,
     render_dot,
@@ -149,12 +148,13 @@ def test_round_trip_product_names():
 
 
 def test_profile_document_parts():
-    doc = ProfileDocument.from_profile(get("fig1a"))
-    assert doc.header == "rkp 1"
-    assert doc.vertex_lines == ("vertex a", "vertex b")
-    assert doc.le_lines == ("le a b",)
-    assert doc.il_lines == ("il a 0", "il b 1")
-    assert doc.encode() == FIG1A_TEXT
+    text = serialize(get("fig1a"))
+    lines = text.decode().split("\n")
+    assert lines[0] == "rkp 1"
+    assert [line for line in lines if line.startswith("vertex ")] == ["vertex a", "vertex b"]
+    assert [line for line in lines if line.startswith("le ")] == ["le a b"]
+    assert [line for line in lines if line.startswith("il ")] == ["il a 0", "il b 1"]
+    assert text == FIG1A_TEXT
 
 
 def test_render_dot_fig1a():

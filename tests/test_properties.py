@@ -90,7 +90,7 @@ def test_decomposition_identity(profile):
 def test_least_class_is_singleton_with_zero(profile):
     q = quotient(profile)
     least = q.least()
-    c = q.summary(least)
+    c = next(c for c in q.classes if c.representative == least)
     assert c.size == 1 and c.limit_count == 0
 
 
@@ -390,7 +390,7 @@ def test_verdicts_agree_with_brute_force(profile):
             _require_admissible(profile)
         assert str(info.value) == "profile fails " + ", ".join(failed)
     else:
-        assert _require_admissible(profile) is quotient(profile)
+        assert _require_admissible(profile) is None
 
 
 @given(st.one_of(random_profiles(), admissible_profiles()))
@@ -407,7 +407,7 @@ def test_mask_conditions_agree_with_validation_report(profile):
             _require_admissible(profile)
         assert str(info.value) == "profile fails " + ", ".join(expected)
     else:
-        assert _require_admissible(profile) is q
+        assert _require_admissible(profile) is None
 
 
 @given(
@@ -465,7 +465,7 @@ _CLI_WORDS = [
     "validate", "report", "product", "oracle", "render", "catalog", "list", "show",
     "enumerate", "check", "iso", "--factor", "-o", "--output", "--format", "dot", "ascii",
     "--param", "--total", "--max-vertices", "--lattice", "--boolean", "--monotone", "--help",
-    "fig1a", "param.chain2", "param.ex11", "k=2", "m=1", "k=0", "-",
+    "fig1a", "param.chain2", "param.ex11", "k=2", "m=1", "k=0", "-", "a\x00b",
     # No integer above 8, so no example starts a long enumeration.
     "-1", "0", "1", "2", "3", "5", "8",
 ]

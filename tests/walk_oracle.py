@@ -9,7 +9,14 @@ them reads the cover masks.
 
 from __future__ import annotations
 
-from rkdist.core import ClassSummary, QuotientPoset, RkProfile, _bits, _require_admissible
+from rkdist.core import (
+    ClassSummary,
+    QuotientPoset,
+    RkProfile,
+    _bits,
+    _require_admissible,
+    quotient,
+)
 
 
 def linear_extension(q: QuotientPoset) -> list[int]:
@@ -25,7 +32,8 @@ def linear_extension(q: QuotientPoset) -> list[int]:
 
 def render_ascii(profile: RkProfile) -> bytes:
     """Leveled drawing by longest-chain depth from the least class, bottom line last."""
-    q = _require_admissible(profile)
+    _require_admissible(profile)
+    q = quotient(profile)
     depth = [0] * len(q.classes)
     for i in linear_extension(q):
         depth[i] = max((depth[j] + 1 for j in _bits(q.down[i])), default=0)
@@ -41,7 +49,8 @@ def render_ascii(profile: RkProfile) -> bytes:
 
 def monotonicity(profile: RkProfile) -> tuple[str, str]:
     """(size flag, limit flag), each "strict", "weak" or "none", over every comparable pair."""
-    q = _require_admissible(profile)
+    _require_admissible(profile)
+    q = quotient(profile)
     size_strict = size_weak = limit_strict = limit_weak = True
     for cb, d in zip(q.classes, q.down):
         for a in _bits(d):
