@@ -20,6 +20,7 @@ from .core import (
     ProfileError,
     QuotientPoset,
     RkProfile,
+    TooManyVertices,
     UnknownVertex,
     ValidationReport,
     canonical_form,

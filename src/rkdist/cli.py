@@ -18,6 +18,7 @@ from . import catalog, enumeration, io, product
 from .core import (
     InvalidProfile,
     RkProfile,
+    TooManyVertices,
     UnknownVertex,
     _require_admissible,
     counts,
@@ -299,6 +300,7 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[bytes, bytes, int]:
             except (
                 _Usage,
                 io.ParseError,
+                TooManyVertices,
                 UnknownVertex,
                 catalog.CatalogError,
                 catalog.AdmissibilityViolation,

@@ -25,10 +25,12 @@ __all__ = [
     "ConditionReport",
     "DecompositionReport",
     "InvalidProfile",
+    "MAX_VERTICES",
     "Preorder",
     "ProfileError",
     "QuotientPoset",
     "RkProfile",
+    "TooManyVertices",
     "UnknownVertex",
     "ValidationReport",
     "canonical_form",
@@ -44,6 +46,10 @@ __all__ = [
 # "*" appears only in vertex names generated by products of profiles.
 NAME_RE = re.compile(r"[A-Za-z0-9_*]+\Z")
 
+# The most vertices a parsed document or a product may have; memory grows with
+# the square of the vertex count, and README gives the measured cost at the limit.
+MAX_VERTICES = 20_000
+
 
 class ProfileError(Exception):
     """Base class for errors raised by this package."""
@@ -55,6 +61,10 @@ class UnknownVertex(ProfileError):
 
 class InvalidProfile(ProfileError):
     """An operation required admissibility (V1-V5) and the profile fails it."""
+
+
+class TooManyVertices(ProfileError):
+    """A document or a product would have more than MAX_VERTICES vertices."""
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -171,8 +181,8 @@ def _components(succ: Sequence[int]) -> tuple[list[int], list[int], list[list[in
     return comp, members, successors
 
 
-def _closure_index(succ: Sequence[int]) -> tuple[tuple[int, ...], _ClassIndex]:
-    """Reflexive-transitive closure of the successor masks, and its class index.
+def _closure_index(succ: Sequence[int]) -> _ClassIndex:
+    """Class index of the reflexive-transitive closure of the successor masks.
 
     The classes are the strongly connected components.  The closure is taken
     over the condensed graph, as in Nuutila's algorithm: up-sets sinks first,
@@ -191,60 +201,69 @@ def _closure_index(succ: Sequence[int]) -> tuple[tuple[int, ...], _ClassIndex]:
             pos[c] = p
             p += 1
     bit = [1 << q for q in pos]
-    reach = [0] * k
-    up_set = [0] * k  # strictly above
-    cover = [0] * k
-    for c in range(k):  # sinks first: successor classes are done
-        r, direct, above = members[c], 0, 0
-        for d in successors[c]:
-            r |= reach[d]
-            direct |= bit[d]
-            above |= up_set[d]
-        reach[c], up_set[c], cover[c] = r, direct | above, direct & ~above
-    down_set = bit[:]
-    for c in range(k - 1, -1, -1):  # sources first: predecessor classes are done
-        d_c = down_set[c]
-        for d in successors[c]:
-            down_set[d] |= d_c
     masks = [0] * k
-    down = [0] * k
-    up = [0] * k
+    up = [0] * k  # strictly above
     covers = [0] * k
-    for c, q in enumerate(pos):
-        masks[q] = members[c]
-        down[q] = down_set[c] ^ bit[c]
-        up[q] = up_set[c]
-        covers[q] = cover[c]
-    index = _ClassIndex(
+    for c in range(k):  # sinks first: successor classes are done
+        direct = above = 0
+        for d in successors[c]:
+            direct |= bit[d]
+            above |= up[pos[d]]
+        q = pos[c]
+        masks[q], up[q], covers[q] = members[c], direct | above, direct & ~above
+    down = [0] * k  # strictly below
+    for c in range(k - 1, -1, -1):  # sources first: predecessor classes are done
+        d_c = down[pos[c]] | bit[c]
+        for d in successors[c]:
+            down[pos[d]] |= d_c
+    return _ClassIndex(
         tuple(masks), tuple(pos[c] for c in comp), tuple(down), tuple(up), tuple(covers)
     )
-    return tuple(reach[c] for c in comp), index
+
+
+def _vertex_masks(index: _ClassIndex) -> tuple[int, ...]:
+    """Per vertex, the mask of the vertices that dominate it, read off the class index.
+
+    A class's reach is its member mask OR the reach of each class covering
+    it.  A class's strict up-set is larger than that of any class covering
+    it, so in increasing order of up-set size the covers' reach is done first.
+    """
+    reach = list(index.masks)
+    for q in sorted(range(len(reach)), key=lambda q: index.up[q].bit_count()):
+        r = reach[q]
+        for c in _bits(index.covers[q]):
+            r |= reach[c]
+        reach[q] = r
+    return tuple(reach[q] for q in index.position)
 
 
 @dataclass(frozen=True, init=False)
 class Preorder:
     """A finite reflexive transitive relation; ``(a, b) in leq`` reads "a is dominated by b".
 
-    Stored as the sorted vertex names and, per name, the bitmask of the names
-    that dominate it; ``vertices`` and ``leq`` are derived from them on demand.
-    Every constructor also stores its class index, ``_classes``.
+    Stored as the sorted vertex names and the class index, ``_classes``;
+    equality and hashing use both.  ``succ``, per name the bitmask of the
+    names that dominate it, ``vertices`` and ``leq`` are derived from them on
+    demand.
     """
 
     names: tuple[str, ...]
-    succ: tuple[int, ...]
-    _classes: _ClassIndex = field(compare=False, repr=False)
+    _classes: _ClassIndex = field(repr=False)
 
     def __init__(self, vertices: Iterable[str], leq: Iterable[tuple[str, str]]) -> None:
         names, succ = _relation_masks(frozenset(vertices), leq)
         for i, v in enumerate(names):
             if not succ[i] >> i & 1:
                 raise ValueError(f"preorder is not reflexive at {v!r}")
-        closed, index = _closure_index(succ)
-        if closed != succ:
+        index = _closure_index(succ)
+        if _vertex_masks(index) != succ:
             raise ValueError("preorder is not transitively closed")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "_classes", index)
+
+    @property
+    def succ(self) -> tuple[int, ...]:
+        return _vertex_masks(self._classes)
 
     @cached_property
     def vertices(self) -> frozenset[str]:
@@ -259,11 +278,10 @@ class Preorder:
         return (a, b) in self.leq
 
 
-def _closed_preorder(names: Sequence[str], succ: Sequence[int], index: _ClassIndex) -> Preorder:
-    """The Preorder whose sorted names, closed successor masks and class index these are."""
+def _closed_preorder(names: Sequence[str], index: _ClassIndex) -> Preorder:
+    """The Preorder whose sorted names and class index these are."""
     order = object.__new__(Preorder)
     object.__setattr__(order, "names", tuple(names))
-    object.__setattr__(order, "succ", tuple(succ))
     object.__setattr__(order, "_classes", index)
     return order
 
@@ -273,7 +291,7 @@ def close_preorder(
 ) -> Preorder:
     """Least reflexive-transitive relation on the vertices containing the pairs."""
     names, succ = _relation_masks(set(vertices), generating_pairs)
-    return _closed_preorder(names, *_closure_index(succ))
+    return _closed_preorder(names, _closure_index(succ))
 
 
 def mutual_classes(order: Preorder) -> tuple[frozenset[str], ...]:

@@ -98,16 +98,12 @@ def _compositions_nonneg(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def enumerate_profiles(
-    total: int,
-    max_vertices: int | None = None,
-    cap: int = DEFAULT_TOTAL_CAP,
-) -> EnumerationResult:
+def enumerate_profiles(total: int, max_vertices: int | None = None) -> EnumerationResult:
     """All admissible profiles with the given total countable-model count."""
     if not isinstance(total, int) or isinstance(total, bool) or total < 2:
         raise InvalidTotal(f"total must be an integer >= 2, got {total!r}")
-    if total > cap:
-        raise InvalidTotal(f"total {total} exceeds the cap {cap}")
+    if total > DEFAULT_TOTAL_CAP:
+        raise InvalidTotal(f"total {total} exceeds the cap {DEFAULT_TOTAL_CAP}")
     nmax = total if max_vertices is None else min(total, max_vertices)
     # least certificate -> canonical document of the first candidate with it
     found: dict[_Certificate, bytes] = {}

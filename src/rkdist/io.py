@@ -21,10 +21,12 @@ import re
 
 from . import _format
 from .core import (
+    MAX_VERTICES,
     NAME_RE,
     ClassSummary,
     ProfileError,
     RkProfile,
+    TooManyVertices,
     UnknownVertex,
     _bits,
     _checked_counts,
@@ -122,6 +124,8 @@ def parse(text: bytes | str) -> RkProfile:
                     line=lineno,
                 )
             vertices[toks[1]] = lineno
+            if len(vertices) > MAX_VERTICES:
+                raise TooManyVertices(f"line {lineno}: more than {MAX_VERTICES} vertices")
         elif kw == "il":
             if (
                 len(toks) != 3

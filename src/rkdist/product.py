@@ -14,19 +14,22 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
+    MAX_VERTICES,
     DecompositionReport,
     Preorder,
     ProfileError,
     QuotientPoset,
     RkProfile,
+    TooManyVertices,
     _bits,
     _ClassIndex,
     _class_structure,
     _closed_preorder,
-    _closure_index,
     _least,
     _profile,
     _require_admissible,
+    _vertex_masks,
+    close_preorder,
     counts,
     is_isomorphic,
     quotient,
@@ -68,51 +71,39 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     """Coordinatewise product; class (X, Y) gets limit count Xl*|Y| + |X|*Yl + Xl*Yl."""
     names = _product_names(a, b)
     ia, ib = a.order._classes, b.order._classes
-    sb = b.order.succ
-    w, kb = len(sb), len(ib.masks)
-    # Pair (i, j) sits at i*w + j, so its successors, the pairs of successors,
-    # are copies of sb[j] (below 2**w) shifted to every successor of i: a product.
-    # The members of a class of a share their successors, so spread once per class.
-    spread = [_spread(a.order.succ[_least(m)], w) for m in ia.masks]
-    succ = [spread[p] * s for p in ia.position for s in sb]
-    # Class (X, Y) sits at X*kb + Y, the order of its least member (least X, least Y).
+    w, kb = len(b.order.names), len(ib.masks)
+    # Class (X, Y) sits at X*kb + Y, the order of its least member (least X, least Y)
+    # when pair (i, j) sits at i*w + j.
     ils = [
         xl * y.bit_count() + (x.bit_count() + xl) * yl
         for x, xl in zip(ia.masks, a.limit_counts)
         for y, yl in zip(ib.masks, b.limit_counts)
     ]
+    # The members of (X, Y) and the classes around it are products of X's and Y's;
+    # (X, Y) is covered by (X', Y) for X' covering X and (X, Y') for Y' covering Y.
+    members = [_spread(m, w) for m in ia.masks]
+    covers_a = [_spread(m, kb) for m in ia.covers]
+    index = _ClassIndex(
+        tuple(x * y for x in members for y in ib.masks),
+        tuple(x * kb + y for x in ia.position for y in ib.position),
+        _product_masks(ia.down, ib.down, kb),
+        _product_masks(ia.up, ib.up, kb),
+        tuple(
+            cx << y | cy << x * kb for x, cx in enumerate(covers_a) for y, cy in enumerate(ib.covers)
+        ),
+    )
     pair = sorted(range(len(names)), key=names.__getitem__)
     if pair == list(range(len(names))):
-        # Its members and the classes around it are products of X's and Y's;
-        # (X, Y) is covered by (X', Y) for X' covering X and (X, Y') for Y' covering Y.
-        members = [_spread(m, w) for m in ia.masks]
-        covers_a = [_spread(m, kb) for m in ia.covers]
-        index = _ClassIndex(
-            tuple(x * y for x in members for y in ib.masks),
-            tuple(x * kb + y for x in ia.position for y in ib.position),
-            _product_masks(ia.down, ib.down, kb),
-            _product_masks(ia.up, ib.up, kb),
-            tuple(
-                cx << y | cy << x * kb
-                for x, cx in enumerate(covers_a)
-                for y, cy in enumerate(ib.covers)
-            ),
-        )
-        return _profile(_closed_preorder(names, succ, index), tuple(ils))
-    # A factor name with "*" can break pair order: sort the pairs by name, and
-    # read each class's (X, Y) off its least pair.
-    rank = [0] * len(pair)
-    for r, p in enumerate(pair):
-        rank[p] = r
-    sorted_succ = [0] * len(pair)
-    for p, m in enumerate(succ):
-        sorted_succ[rank[p]] = sum(1 << rank[q] for q in _bits(m))
-    order = _closed_preorder([names[p] for p in pair], *_closure_index(sorted_succ))
-    by_class = []
-    for m in order._classes.masks:
-        i, j = divmod(pair[_least(m)], w)
-        by_class.append(ils[ia.position[i] * kb + ib.position[j]])
-    return _profile(order, tuple(by_class))
+        return _profile(_closed_preorder(names, index), tuple(ils))
+    # A factor name with "*" can break pair order: close the pair relation under
+    # the names, and read each class's (X, Y) off its least pair.
+    order = close_preorder(
+        names,
+        ((names[p], names[q]) for p, m in enumerate(_vertex_masks(index)) for q in _bits(m)),
+    )
+    return _profile(
+        order, tuple(ils[index.position[pair[_least(m)]]] for m in order._classes.masks)
+    )
 
 
 def _spread(mask: int, width: int) -> int:
@@ -140,6 +131,9 @@ def _product_names(a: RkProfile, b: RkProfile) -> list[str]:
     """Names x*y of the product's vertices in factor name order; both factors must be admissible."""
     _require_admissible(a)
     _require_admissible(b)
+    n = len(a.order.names) * len(b.order.names)
+    if n > MAX_VERTICES:
+        raise TooManyVertices(f"the product would have {n} vertices, more than {MAX_VERTICES}")
     names = [f"{x}*{y}" for x in a.order.names for y in b.order.names]
     if len(set(names)) != len(names):
         raise NameCollision("vertex name collision in product; rename factor vertices")

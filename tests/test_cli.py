@@ -2,8 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from rkdist.catalog import get
+from rkdist import core, product
+from rkdist.catalog import chain_profile, get
 from rkdist.cli import ORACLE_BUDGET, run
+from rkdist.core import MAX_VERTICES
 from rkdist.io import serialize
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -464,3 +466,32 @@ def test_oracle_runs_at_budget(tmp_path):
     assert (out, err, code) == (b"pareto 992 = 4 + 988\noracle 992 = 4 + 988\nisomorphic\n", b"", 0)
     out, err, code = run(["oracle", str(b), str(b)])
     assert code == 2 and err.startswith(b"error: the factors' totals multiply to more than")
+
+
+def test_document_over_the_vertex_limit_exits_2(monkeypatch):
+    closed = []
+    monkeypatch.setattr(core, "_closure_index", closed.append)
+    doc = "\n".join(["rkp 1", *(f"vertex v{i}" for i in range(MAX_VERTICES + 1))])
+    out, err, code = run(["validate", "-"], doc.encode())
+    assert (out, code) == (b"", 2)
+    # the header is line 1, so the vertex past the limit is on line MAX_VERTICES + 2
+    assert err == f"error: line {MAX_VERTICES + 2}: more than {MAX_VERTICES} vertices\n".encode()
+    assert closed == []
+
+
+@pytest.mark.parametrize("command", ["product", "report --factor"])
+def test_product_over_the_vertex_limit_exits_2(tmp_path, monkeypatch, command):
+    built = []
+    monkeypatch.setattr(product, "_product_masks", lambda *args: built.append(args))
+    a, b = tmp_path / "a.rkp", tmp_path / "b.rkp"
+    a.write_bytes(serialize(chain_profile([0] + [1] * 99)))
+    b.write_bytes(serialize(chain_profile([0] + [1] * (MAX_VERTICES // 100))))
+    if command == "product":
+        argv = ["product", str(a), str(b)]
+    else:
+        argv = ["report", str(a), "--factor", str(a), "--factor", str(b)]
+    out, err, code = run(argv)
+    assert (out, code) == (b"", 2)
+    n = 100 * (MAX_VERTICES // 100 + 1)
+    assert err == f"error: the product would have {n} vertices, more than {MAX_VERTICES}\n".encode()
+    assert built == []

@@ -18,6 +18,7 @@ from rkdist import (
     validate_profile,
 )
 from rkdist.catalog import chain_profile, get
+from rkdist.cli import run
 from rkdist.io import parse, render_ascii, render_dot, serialize
 
 
@@ -362,7 +363,17 @@ def test_product_index_comes_from_the_factors(monkeypatch):
     assert built == []
 
 
-def test_operations_never_build_the_pair_relation():
+def test_operations_never_build_the_pair_relation(monkeypatch):
+    derived = []
+    original = core._vertex_masks
+
+    def counting(index):
+        derived.append(index)
+        return original(index)
+
+    # patched where core and product call it
+    monkeypatch.setattr(core, "_vertex_masks", counting)
+    monkeypatch.setattr("rkdist.product._vertex_masks", counting)
     p = parse(
         b"rkp 1\nvertex a\nvertex b\nvertex c\nvertex d\n"
         b"le a b\nle b c\nle c b\nle c d\nil a 0\nil b 1\nil d 1\n"
@@ -376,10 +387,44 @@ def test_operations_never_build_the_pair_relation():
     assert is_isomorphic(p, p)
     product = pareto_product(p, p)
     assert is_isomorphic(product, product)
-    for order in (p.order, product.order):
+    triple = product_many([p, p, p])
+    serialize(triple)
+    monotonicity(triple)
+    assert run(["check", "-", "--lattice"], serialize(product)) == (b"true\n", b"", 0)
+    for order in (p.order, product.order, triple.order):
         # leq is derived on first use and then cached on the instance
         assert "leq" not in vars(order)
+    assert derived == []
     assert p.order.leq and "leq" in vars(p.order)
+    assert len(derived) == 1
+    # "b*a" sorts before "b": only a product whose names break pair order
+    # derives the per-vertex relation, to close it again under the names
+    starred = make_profile(
+        ["b", "b*a", "b*a*a", "b*a*a*a"],
+        [("b", "b*a"), ("b*a", "b*a*a"), ("b*a*a", "b*a"), ("b*a*a", "b*a*a*a")],
+        {"b": 0, "b*a": 1, "b*a*a*a": 1},
+    )
+    assert is_isomorphic(pareto_product(starred, p), product)
+    assert len(derived) == 2
+
+
+def test_equal_relations_are_equal_and_hash_alike():
+    chain = chain_profile([0, 1])
+    product = pareto_product(chain, chain).order
+    names = ["a*a", "a*b", "b*a", "b*b"]
+    leq = {(x, y) for x in names for y in names if x[0] <= y[0] and x[2] <= y[2]}
+    orders = [
+        product,
+        Preorder(names, leq),
+        close_preorder(names, [("a*a", "a*b"), ("a*a", "b*a"), ("a*b", "b*b"), ("b*a", "b*b")]),
+        parse(serialize(pareto_product(chain, chain))).order,
+    ]
+    for order in orders:
+        assert order == product and hash(order) == hash(product)
+    assert order.leq == leq
+    wider = Preorder(names, leq | {("a*b", "b*a")})
+    assert wider.names == product.names and wider != product
+    assert wider.succ != product.succ
 
 
 def test_integer_paths_never_build_the_name_view():

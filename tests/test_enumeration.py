@@ -50,11 +50,12 @@ def test_invalid_totals(total):
         enumerate_profiles(total)
 
 
-def test_total_above_cap():
+def test_total_above_cap(monkeypatch):
     with pytest.raises(InvalidTotal):
         enumerate_profiles(13)
+    monkeypatch.setattr(enumeration, "DEFAULT_TOTAL_CAP", 7)
     with pytest.raises(InvalidTotal):
-        enumerate_profiles(8, cap=7)
+        enumerate_profiles(8)
 
 
 def test_max_vertices_restricts():
@@ -174,8 +175,9 @@ def _two_cycles_poset(shift):
 def test_isomorphic_candidates_collapse_whatever_their_first_leaf(monkeypatch):
     copies = (_two_cycles_poset(0), _two_cycles_poset(1))
     monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: copies if k == 14 else ())
+    monkeypatch.setattr(enumeration, "DEFAULT_TOTAL_CAP", 15)
     # 14 singleton classes and one limit model on the top: one candidate per copy
-    result = enumerate_profiles(15, max_vertices=14, cap=15)
+    result = enumerate_profiles(15, max_vertices=14)
     lower = [f"x{i}" for i in range(6)]
     upper = [f"y{j}" for j in range(6)]
     pairs = [("bot", x) for x in lower] + [(y, "top") for y in upper]

@@ -10,7 +10,8 @@ from rkdist import (
     pareto_product,
     quotient,
 )
-from rkdist.catalog import chain_profile, get
+from rkdist.catalog import chain_profile, get, least_plus_class
+from rkdist.core import MAX_VERTICES
 from rkdist.io import (
     BadHeader,
     DuplicateIl,
@@ -256,3 +257,16 @@ def test_deep_chain_reports_and_renders():
     assert edges == [f'  "{a}" -> "{b}";' for a, b in zip(names, names[1:])]
     levels = lines("render", "--format", "ascii")
     assert levels == [f"{v}(1,{n})" for v, n in zip(reversed(names), reversed(ils))]
+
+
+def test_document_and_product_at_the_vertex_limit():
+    # One class: only v0's successor mask and the class's member mask hold many bits.
+    names = [f"v{i}" for i in range(MAX_VERTICES)]
+    lines = ["rkp 1", *(f"vertex {v}" for v in names), "il v0 1"]
+    lines += [f"le {v} v0\nle v0 {v}" for v in names[1:]]
+    p = parse("\n".join(lines))
+    assert len(p.order.names) == MAX_VERTICES and len(p.order._classes.masks) == 1
+    half = least_plus_class(MAX_VERTICES // 2 - 1, 1)
+    product = pareto_product(half, chain_profile([0, 1]))
+    assert len(product.order.names) == MAX_VERTICES
+    assert counts(product).prime_count == MAX_VERTICES
