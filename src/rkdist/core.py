@@ -78,24 +78,24 @@ def _least(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _relation_masks(
+def _successor_lists(
     vertices: Iterable[str], pairs: Iterable[tuple[str, str]]
-) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """Sort the vertices and encode the relation as per-vertex successor bitmasks."""
+) -> tuple[tuple[str, ...], list[list[int]]]:
+    """Sort the vertices and list, per vertex, the vertices that the pairs put above it."""
     names = sorted(vertices)
     for v in names:
         if not isinstance(v, str) or not NAME_RE.match(v):
             raise ValueError(f"bad vertex name {v!r}")
     index = {v: i for i, v in enumerate(names)}
-    succ = [0] * len(names)
+    succ: list[list[int]] = [[] for _ in names]
     for a, b in pairs:
         ia = index.get(a)
         ib = index.get(b)
         if ia is None or ib is None:
             missing = a if ia is None else b
             raise UnknownVertex(f"relation references undeclared vertex {missing!r}")
-        succ[ia] |= 1 << ib
-    return tuple(names), tuple(succ)
+        succ[ia].append(ib)
+    return tuple(names), succ
 
 
 class _ClassIndex(NamedTuple):
@@ -110,8 +110,8 @@ class _ClassIndex(NamedTuple):
     covers: tuple[int, ...]
 
 
-def _components(succ: Sequence[int]) -> tuple[list[int], list[int], list[list[int]]]:
-    """Strongly connected components of the digraph of the successor masks, sinks first.
+def _components(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[list[int]]]:
+    """Strongly connected components of the digraph of the successor lists, sinks first.
 
     Tarjan's walk, with an explicit stack, so no input is too deep for it.
     Returns each vertex's component, each component's member mask, and each
@@ -122,7 +122,7 @@ def _components(succ: Sequence[int]) -> tuple[list[int], list[int], list[list[in
     low = [0] * n
     comp = [-1] * n  # emission index of the vertex's class once it is found
     out: list[list[int]] = [[] for _ in range(n)]  # per vertex, found classes it points to
-    pending = list(succ)  # per vertex, the successors not yet looked at
+    pending = [iter(s) for s in succ]  # per vertex, the successors not yet looked at
     stack: list[int] = []
     members: list[int] = []
     successors: list[list[int]] = []  # per class, its successor classes (maybe repeated)
@@ -136,11 +136,7 @@ def _components(succ: Sequence[int]) -> tuple[list[int], list[int], list[list[in
         path = [root]
         while path:
             v = path[-1]
-            rest = pending[v]
-            while rest:  # up to the first unvisited successor
-                bit = rest & -rest
-                rest ^= bit
-                w = bit.bit_length() - 1
+            for w in pending[v]:  # up to the first unvisited successor
                 if not number[w]:
                     break
                 if comp[w] < 0:  # on the stack, so in v's class
@@ -150,7 +146,6 @@ def _components(succ: Sequence[int]) -> tuple[list[int], list[int], list[list[in
                     out[v].append(comp[w])
             else:
                 w = -1
-            pending[v] = rest
             if w >= 0:
                 counter += 1
                 number[w] = low[w] = counter
@@ -181,15 +176,16 @@ def _components(succ: Sequence[int]) -> tuple[list[int], list[int], list[list[in
     return comp, members, successors
 
 
-def _closure_index(succ: Sequence[int]) -> _ClassIndex:
-    """Class index of the reflexive-transitive closure of the successor masks.
+def _closure_index(succ: Sequence[Sequence[int]]) -> _ClassIndex:
+    """Class index of the reflexive-transitive closure of the successor lists.
 
     The classes are the strongly connected components.  The closure is taken
     over the condensed graph, as in Nuutila's algorithm: up-sets sinks first,
     down-sets sources first, with one OR per successor class rather than one
     step per comparable pair.  Every cover is an edge of the condensed graph
     (Aho, Garey and Ullman, 1972): a class's covers are its successor classes
-    that lie above none of the others.
+    that lie above none of the others.  Nothing depends on the order of the
+    lists: positions come from least members, and the rest from ORs.
     """
     comp, members, successors = _components(succ)
     # Positions by least member: a class is first met at its least member.
@@ -200,20 +196,21 @@ def _closure_index(succ: Sequence[int]) -> _ClassIndex:
         if pos[c] < 0:
             pos[c] = p
             p += 1
-    bit = [1 << q for q in pos]
     masks = [0] * k
     up = [0] * k  # strictly above
     covers = [0] * k
     for c in range(k):  # sinks first: successor classes are done
         direct = above = 0
         for d in successors[c]:
-            direct |= bit[d]
-            above |= up[pos[d]]
+            q = pos[d]
+            direct |= 1 << q
+            above |= up[q]
         q = pos[c]
         masks[q], up[q], covers[q] = members[c], direct | above, direct & ~above
     down = [0] * k  # strictly below
     for c in range(k - 1, -1, -1):  # sources first: predecessor classes are done
-        d_c = down[pos[c]] | bit[c]
+        q = pos[c]
+        d_c = down[q] | 1 << q
         for d in successors[c]:
             down[pos[d]] |= d_c
     return _ClassIndex(
@@ -251,12 +248,13 @@ class Preorder:
     _classes: _ClassIndex = field(repr=False)
 
     def __init__(self, vertices: Iterable[str], leq: Iterable[tuple[str, str]]) -> None:
-        names, succ = _relation_masks(frozenset(vertices), leq)
+        names, succ = _successor_lists(frozenset(vertices), leq)
+        masks = tuple(sum(1 << j for j in set(s)) for s in succ)
         for i, v in enumerate(names):
-            if not succ[i] >> i & 1:
+            if not masks[i] >> i & 1:
                 raise ValueError(f"preorder is not reflexive at {v!r}")
         index = _closure_index(succ)
-        if _vertex_masks(index) != succ:
+        if _vertex_masks(index) != masks:
             raise ValueError("preorder is not transitively closed")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_classes", index)
@@ -290,7 +288,7 @@ def close_preorder(
     vertices: Iterable[str], generating_pairs: Iterable[tuple[str, str]]
 ) -> Preorder:
     """Least reflexive-transitive relation on the vertices containing the pairs."""
-    names, succ = _relation_masks(set(vertices), generating_pairs)
+    names, succ = _successor_lists(set(vertices), generating_pairs)
     return _closed_preorder(names, _closure_index(succ))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from . import _format
+from . import _format, core
 from .core import (
     MAX_VERTICES,
     NAME_RE,
@@ -29,12 +29,11 @@ from .core import (
     TooManyVertices,
     UnknownVertex,
     _bits,
-    _checked_counts,
+    _closed_preorder,
     _cover_pairs,
-    _label_classes,
+    _least,
     _profile,
     _require_admissible,
-    close_preorder,
     quotient,
 )
 
@@ -92,12 +91,11 @@ def parse(text: bytes | str) -> RkProfile:
         except UnicodeDecodeError as exc:
             raise MalformedLine("document is not valid UTF-8") from exc
     header_seen = False
-    vertices: dict[str, int] = {}
-    les: list[tuple[str, str]] = []
-    le_lines: list[int] = []
+    vertices: dict[str, int] = {}  # name -> line of its vertex statement
+    les: list[tuple[str, str, int]] = []
     ils: list[tuple[str, int, int]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        toks = raw.partition("#")[0].split()
+        toks = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not toks:
             continue
         if not header_seen:
@@ -113,8 +111,7 @@ def parse(text: bytes | str) -> RkProfile:
                 and (toks[2] in vertices or NAME_RE.match(toks[2]))
             ):
                 raise MalformedLine("expected: le NAME NAME", line=lineno)
-            les.append((toks[1], toks[2]))
-            le_lines.append(lineno)
+            les.append((toks[1], toks[2], lineno))
         elif kw == "vertex":
             if len(toks) != 2 or not NAME_RE.match(toks[1]):
                 raise MalformedLine("expected: vertex NAME", line=lineno)
@@ -143,25 +140,36 @@ def parse(text: bytes | str) -> RkProfile:
     if not header_seen:
         raise BadHeader('expected "rkp 1" header in empty document')
 
-    for (a, b), lineno in zip(les, le_lines):
-        for name in (a, b):
-            if name not in vertices:
-                raise UnknownVertex(f"line {lineno}: undeclared vertex {name!r}")
-    for name, _, lineno in ils:
-        if name not in vertices:
-            raise UnknownVertex(f"line {lineno}: undeclared vertex {name!r}")
+    # Undeclared names in statement order: every le pair, then the il lines.
+    names = sorted(vertices)
+    vertex = {v: i for i, v in enumerate(names)}
+    succ: list[list[int]] = [[] for _ in names]
+    for a, b, lineno in les:
+        ia = vertex.get(a, -1)
+        ib = vertex.get(b, -1)
+        if ia < 0 or ib < 0:
+            raise UnknownVertex(f"line {lineno}: undeclared vertex {a if ia < 0 else b!r}")
+        succ[ia].append(ib)
+    labels = [vertex.get(name, -1) for name, _, _ in ils]
+    if -1 in labels:
+        name, _, lineno = ils[labels.index(-1)]
+        raise UnknownVertex(f"line {lineno}: undeclared vertex {name!r}")
 
-    order = close_preorder(vertices, les)
-    positions, fault, missing = _label_classes(order, [name for name, _, _ in ils])
-    if fault is not None:
-        claim = ils[positions.index(positions[fault])][2]
-        raise DuplicateIl(
-            f"class of {ils[fault][0]!r} already has a limit count (line {claim})",
-            line=ils[fault][2],
-        )
-    if missing is not None:
+    index = core._closure_index(succ)
+    claim = [0] * len(index.masks)  # per class position, the line of its il; 0 for none yet
+    limit_counts = [0] * len(claim)
+    for i, (_, count, lineno) in zip(labels, ils):
+        p = index.position[i]
+        if claim[p]:
+            raise DuplicateIl(
+                f"class of {names[i]!r} already has a limit count (line {claim[p]})", line=lineno
+            )
+        claim[p] = lineno
+        limit_counts[p] = count
+    if 0 in claim:
+        missing = names[_least(index.masks[claim.index(0)])]
         raise MissingIl(f"no il declaration for the class of {missing!r}")
-    return _profile(order, _checked_counts(order, positions, [count for _, count, _ in ils]))
+    return _profile(_closed_preorder(names, index), tuple(limit_counts))
 
 
 def serialize(profile: RkProfile) -> bytes:

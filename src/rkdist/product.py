@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     MAX_VERTICES,
@@ -28,7 +28,6 @@ from .core import (
     _least,
     _profile,
     _require_admissible,
-    _vertex_masks,
     close_preorder,
     counts,
     is_isomorphic,
@@ -95,15 +94,22 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     pair = sorted(range(len(names)), key=names.__getitem__)
     if pair == list(range(len(names))):
         return _profile(_closed_preorder(names, index), tuple(ils))
-    # A factor name with "*" can break pair order: close the pair relation under
-    # the names, and read each class's (X, Y) off its least pair.
-    order = close_preorder(
-        names,
-        ((names[p], names[q]) for p, m in enumerate(_vertex_masks(index)) for q in _bits(m)),
-    )
+    # A factor name with "*" can break pair order: close, under the names, one
+    # cycle through each class's pairs and one pair per cover between least
+    # pairs, and read each class's (X, Y) off its least pair.
+    order = close_preorder(names, _generating_pairs(names, index))
     return _profile(
         order, tuple(ils[index.position[pair[_least(m)]]] for m in order._classes.masks)
     )
+
+
+def _generating_pairs(names: Sequence[str], index: _ClassIndex) -> Iterator[tuple[str, str]]:
+    """Pairs whose closure is the index's relation: a cycle per class, a pair per cover."""
+    for m, covers in zip(index.masks, index.covers):
+        members = [names[i] for i in _bits(m)]
+        yield from zip(members, members[1:] + members[:1])
+        for c in _bits(covers):
+            yield members[0], names[_least(index.masks[c])]
 
 
 def _spread(mask: int, width: int) -> int:

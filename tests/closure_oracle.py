@@ -1,20 +1,33 @@
 """Warshall closure and bit-walk class index, the differential oracle for
 ``core._closure_index``.
 
-``warshall_close`` takes the closure with Warshall's n**2 loop over the
-successor masks; ``class_index`` reads each class off the closed masks by
-testing, for every vertex, each of its successors for the reverse relation,
-and then walks every comparable pair for the down- and up-sets, and for
-the covers by their definition: a strictly below b with no class strictly
-between them.  Neither shares code with the library's Tarjan walk over the
-condensed graph.
+``relation_masks`` sorts the names and encodes the listed pairs as
+per-vertex successor masks; ``warshall_close`` takes the closure with
+Warshall's n**2 loop over the successor masks; ``class_index`` reads each
+class off the closed masks by testing, for every vertex, each of its
+successors for the reverse relation, and then walks every comparable pair
+for the down- and up-sets, and for the covers by their definition: a
+strictly below b with no class strictly between them.  None of them shares
+code with the library's Tarjan walk over the condensed graph.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from rkdist.core import _bits, _ClassIndex, _least
+
+
+def relation_masks(
+    names: Iterable[str], pairs: Iterable[tuple[str, str]]
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Sorted names and, per name, the mask of the names that a pair puts above it."""
+    names = tuple(sorted(names))
+    at = {v: i for i, v in enumerate(names)}
+    succ = [0] * len(names)
+    for a, b in pairs:
+        succ[at[a]] |= 1 << at[b]
+    return names, tuple(succ)
 
 
 def warshall_close(succ: Sequence[int]) -> list[int]:

@@ -117,6 +117,62 @@ def test_parse_missing_il():
         parse(b"rkp 1\nvertex a\nvertex b\nle a b\nil a 0\n")
 
 
+# Documents with two faults: the one reported is fixed by the order of the
+# checks. Every line is read first; then undeclared names, every le pair
+# (left name, then right) before the il lines; then duplicate il lines in
+# order; then the least member of the lowest class that no il line labels.
+TWO_FAULTS = [
+    (
+        b"rkp 1\nvertex a\nil z 0\nle a y\nil a 0\n",
+        UnknownVertex, "line 4: undeclared vertex 'y'", None,
+    ),
+    (
+        b"rkp 1\nvertex a\nvertex b\nvertex c\nle a b\nle b a\nil b 1\nil a 2\n",
+        DuplicateIl, "line 8: class of 'a' already has a limit count (line 7)", 8,
+    ),
+    (b"rkp 1\nvertex a\nle x y\nil a 0\n", UnknownVertex, "line 3: undeclared vertex 'x'", None),
+    (
+        b"rkp 1\nvertex a\nle a q\nle p a\nil a 0\n",
+        UnknownVertex, "line 3: undeclared vertex 'q'", None,
+    ),
+    (b"rkp 1\nle a z\nvertex a\nle a\nil a 0\n", MalformedLine, "line 4: expected: le NAME NAME", 4),
+    (
+        b"rkp 1\nvertex a\nle a z\nvertex a\nil a 0\n",
+        DuplicateVertex, "line 4: vertex 'a' already declared on line 2", 4,
+    ),
+    (
+        b"rkp 1\nvertex a\nvertex b\nil a 0\nil a 1\nil q 1\nil b 1\n",
+        UnknownVertex, "line 6: undeclared vertex 'q'", None,
+    ),
+    (
+        b"rkp 1\nvertex d\nvertex c\nvertex b\nvertex a\nle c a\nle a c\nil d 0\n",
+        MissingIl, "no il declaration for the class of 'a'", None,
+    ),
+    (
+        b"rkp 1\r\nvertex b\t# x\nvertex a\nle b a\nle a b\nil b 1\nil a 1\n",
+        DuplicateIl, "line 7: class of 'a' already has a limit count (line 6)", 7,
+    ),
+    (b"\n# c\nrkp 2\nvertex a\nle a z\n", BadHeader, "line 3: expected \"rkp 1\", got 'rkp 2'", 3),
+    (
+        b"rkp 1\nvertex a\nvertex b\nil b 1\nle b a\nil a 1\nil z 1\n",
+        UnknownVertex, "line 7: undeclared vertex 'z'", None,
+    ),
+    (
+        b"rkp 1\nvertex a\nvertex b\nvertex c\nle a c\nil c 1\nil b 1\n",
+        MissingIl, "no il declaration for the class of 'a'", None,
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, error, message, line", TWO_FAULTS)
+def test_parse_reports_the_first_of_two_faults(doc, error, message, line):
+    with pytest.raises(error) as info:
+        parse(doc)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert getattr(info.value, "line", None) == line
+
+
 def test_serialize_fig1a_exact_bytes():
     assert serialize(get("fig1a")) == FIG1A_TEXT
     assert serialize(parse(FIG1A_TEXT)) == FIG1A_TEXT

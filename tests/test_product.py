@@ -46,6 +46,31 @@ def test_pareto_product_identity(base):
         assert is_isomorphic(pareto_product(SINGLE, profile), profile)
 
 
+def test_starred_product_closes_a_pair_per_vertex_and_cover(monkeypatch):
+    # "b*a*c0" sorts before "b*c0", so the product's names break pair order
+    starred = make_profile(
+        ["b", "b*a", "b*a*a", "b*a*a*a"],
+        [("b", "b*a"), ("b*a", "b*a*a"), ("b*a*a", "b*a"), ("b*a*a", "b*a*a*a")],
+        {"b": 0, "b*a": 1, "b*a*a*a": 1},
+    )
+    chain = make_profile(["c0", "c1", "c2"], [("c0", "c1"), ("c1", "c2")], {"c0": 0, "c1": 1, "c2": 1})
+    handed = []
+    original = product.close_preorder
+
+    def recording(vertices, pairs):
+        handed.append(list(pairs))
+        return original(vertices, handed[-1])
+
+    monkeypatch.setattr(product, "close_preorder", recording)
+    p = pareto_product(starred, chain)
+    # 12 vertices in 9 classes, a 3 by 3 grid with 12 covers, where the
+    # relation holds 11 * 6 pairs
+    assert [len(pairs) for pairs in handed] == [12 + 12]
+    assert sum(c.bit_count() for c in p.order._classes.covers) == 12
+    assert len(p.order.leq) == 66
+    assert p == oracle_product(starred, chain)
+
+
 def test_pareto_product_example_2():
     p = pareto_product(pareto_product(get("fig1a"), get("fig1b.1")), get("fig2.1"))
     assert limit_multiset(p) == [0, 1, 2, 3, 5, 7, 11, 23]

@@ -1,10 +1,12 @@
 """Algebraic invariants checked over randomly generated admissible profiles."""
 
+import contextlib
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from canon_oracle import oracle_canonical_text
-from closure_oracle import class_index, warshall_close
+from closure_oracle import class_index, relation_masks, warshall_close
 from enum_oracle import iso_by_permutation
 from lattice_oracle import boolean_by_tables as _oracle_is_boolean
 from lattice_oracle import lattice_tables as _oracle_lattice_tables
@@ -33,7 +35,6 @@ from rkdist import catalog, cli
 from rkdist.core import (
     _bits,
     _failed_conditions,
-    _relation_masks,
     _require_admissible,
     mutual_classes,
 )
@@ -205,7 +206,7 @@ def test_seeded_masks_equal_rederived_masks(profile, a, b):
     starred = _relabeled(a, {v: "b" + "*a" * i for i, v in enumerate(sorted(a.order.vertices))})
     products = [pareto_product(a, b), pareto_product(starred, b)]
     for order in [profile.order] + [p.order for p in products]:
-        assert (order.names, order.succ) == _relation_masks(order.vertices, order.leq)
+        assert (order.names, order.succ) == relation_masks(order.vertices, order.leq)
         assert Preorder(order.vertices, order.leq) == order
     assert products[1] == oracle_product(starred, b)
 
@@ -234,7 +235,7 @@ def digraphs(draw):
 def test_closure_matches_warshall_oracle(graph):
     names, pairs = graph
     order = close_preorder(names, pairs)
-    sorted_names, generating = _relation_masks(names, pairs)
+    sorted_names, generating = relation_masks(names, pairs)
     closed = warshall_close(generating)
     assert order.names == sorted_names
     assert list(order.succ) == closed
@@ -248,7 +249,7 @@ def test_public_preorder_checks_against_warshall_oracle(graph, shape):
     names, pairs = graph
     if shape != "as drawn":
         pairs = pairs + [(v, v) for v in names]
-    sorted_names, generating = _relation_masks(names, pairs)
+    sorted_names, generating = relation_masks(names, pairs)
     closed = warshall_close(generating)
     if shape == "closed":
         pairs = [
@@ -281,7 +282,7 @@ def shortcut_digraphs(draw):
     or join members of one class; the covers must leave them out.
     """
     names, pairs = draw(digraphs())
-    sorted_names, generating = _relation_masks(names, pairs)
+    sorted_names, generating = relation_masks(names, pairs)
     closed = warshall_close(generating)
     implied = [(v, sorted_names[j]) for v, s in zip(sorted_names, closed) for j in _bits(s)]
     pairs = pairs + draw(st.lists(st.sampled_from(implied), max_size=12))
@@ -300,7 +301,7 @@ def shortcut_digraphs(draw):
 def test_covers_leave_out_redundant_pairs(graph):
     names, pairs = graph
     order = close_preorder(names, pairs)
-    index = class_index(warshall_close(_relation_masks(names, pairs)[1]))
+    index = class_index(warshall_close(relation_masks(names, pairs)[1]))
     assert order._classes == index
     assert Preorder(order.vertices, order.leq)._classes == index
     q = quotient(RkProfile(order, {c: 1 for c in mutual_classes(order)}))
@@ -441,6 +442,46 @@ _DOC_LINES = st.lists(
 ).map(lambda lines: "\n".join(["rkp 1", *lines]).encode())
 
 
+@st.composite
+def relation_documents(draw):
+    """Vertices, pairs and one limit count per class, admissible or not, and a document of them.
+
+    The classes come from the Warshall oracle; each class's il line names any
+    of its members. The document's statements are shuffled, and comments,
+    blank lines, tabs and carriage returns are spread through it.
+    """
+    pool = ["a", "b", "v2", "v10", "b*a", "b*a*a", "Z_9", "c0m0"]
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True))
+    vertex = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    sorted_names, generating = relation_masks(names, pairs)
+    labels = {}
+    for m in class_index(warshall_close(generating)).masks:
+        labels[draw(st.sampled_from([sorted_names[j] for j in _bits(m)]))] = draw(st.integers(0, 3))
+    statements = [["vertex", v] for v in names] + [["le", a, b] for a, b in pairs]
+    statements += [["il", v, str(n)] for v, n in labels.items()]
+    statements += [[] for _ in range(draw(st.integers(0, 3)))]
+    lines = ["rkp 1"]
+    for toks in draw(st.permutations(statements)):
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        line += draw(st.sampled_from([" ", "\t", " \t ", "  "])).join(toks)
+        line += draw(st.sampled_from(["", " # note", "#", "\t# le x y", "\r", " \r"]))
+        lines.append(line)
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    return names, pairs, labels, draw(st.sampled_from([text, text.encode()]))
+
+
+@given(relation_documents())
+@settings(max_examples=200, deadline=None)
+def test_parse_equals_make_profile(drawn):
+    names, pairs, labels, text = drawn
+    parsed = parse(text)
+    made = make_profile(names, pairs, labels)
+    assert parsed.order.names == made.order.names
+    assert parsed.order._classes == made.order._classes
+    assert parsed.limit_counts == made.limit_counts
+
+
 @given(st.one_of(st.binary(max_size=300), _DOC_LINES))
 @settings(max_examples=300, deadline=None)
 def test_parse_returns_a_profile_or_raises_profile_error(data):
@@ -482,6 +523,8 @@ def test_cli_never_raises_on_drawn_argv(cli_files, data):
     # At most five factors, so no product passes 1024 vertices.
     argv = data.draw(st.lists(words, max_size=6))
     stdin = data.draw(st.one_of(st.binary(max_size=200), st.sampled_from(list(contents.values()))))
-    out, err, code = cli.run(argv, stdin)
+    # A bare word drawn as an -o target names a file in the working directory.
+    with contextlib.chdir(root):
+        out, err, code = cli.run(argv, stdin)
     assert isinstance(out, bytes) and isinstance(err, bytes)
     assert code in (0, 1, 2)
