@@ -776,16 +776,9 @@ def _in_explored_orbit(e: int, explored: list[int], generators: list[list[int]])
     return False
 
 
-def _leaf_certificates(
-    sizes: list[int],
-    ils: list[int],
-    down: list[int],
-    up: list[int],
-    covers: list[tuple[int, int]],
-    cells: list[list[int]] | None = None,
-) -> Generator[_Certificate, None, int]:
+class _leaf_certificates(Iterator[_Certificate]):
     """Each distinct leaf certificate of the individualization-refinement tree, when first
-    found; returns the number of leaves visited.
+    found; the StopIteration that ends the walk carries the number of leaves visited.
 
     The root is the refined partition into initial cells (``cells`` when the
     caller has it already); a node's children individualize, in increasing
@@ -803,46 +796,84 @@ def _leaf_certificates(
     early skips the rest of the walk.  The first certificate is always the
     first leaf's, reached by individualizing the least member of each target
     cell, since no automorphism is recorded before it.
+
+    The walk keeps what it finds: ``generators``, the recorded automorphisms
+    as class maps, and ``least_order()``, the leaf order of the least
+    certificate so far.  After the whole walk the generators span the
+    automorphism group.  On the first leaf's path, the first leaf of each
+    explored sibling subtree repeats a certificate of the first child's
+    subtree, so the walk records an automorphism that fixes the path above
+    and maps the first child to the sibling; the skipped siblings lie in the
+    orbits of explored ones; and at the first leaf only the identity is left.
     """
-    if cells is None:
-        cells = _root_cells(_cell_keys(sizes, ils, down, up), down, up)
-    # certificate -> (leaf order, individualized class per level) of its first leaf
-    seen: dict[_Certificate, tuple[list[int], list[int]]] = {}
-    generators: list[list[int]] = []
-    path: list[_Node] = []
-    leaves = 0
-    while True:
-        target = _target(cells)
-        if target is not None:
-            path.append(_Node(cells, target, sorted(cells[target])))
-        else:
-            leaves += 1
-            order = [c[0] for c in cells]
-            cert = _certificate(order, sizes, ils, covers)
-            chosen = [node.explored[-1] for node in path]
-            first = seen.get(cert)
-            if first is None:
-                seen[cert] = (order, chosen)
-                yield cert
+
+    def __init__(
+        self,
+        sizes: list[int],
+        ils: list[int],
+        down: list[int],
+        up: list[int],
+        covers: list[tuple[int, int]],
+        cells: list[list[int]] | None = None,
+    ) -> None:
+        # certificate -> (leaf order, individualized class per level) of its first leaf
+        self._seen: dict[_Certificate, tuple[list[int], list[int]]] = {}
+        self.generators: list[list[int]] = []
+        self._walk = self._leaves(sizes, ils, down, up, covers, cells)
+
+    def __next__(self) -> _Certificate:
+        return next(self._walk)
+
+    def least_order(self) -> list[int]:
+        """The leaf order of the first leaf with the least certificate found so far."""
+        return self._seen[min(self._seen)][0]
+
+    def _leaves(
+        self,
+        sizes: list[int],
+        ils: list[int],
+        down: list[int],
+        up: list[int],
+        covers: list[tuple[int, int]],
+        cells: list[list[int]] | None,
+    ) -> Generator[_Certificate, None, int]:
+        if cells is None:
+            cells = _root_cells(_cell_keys(sizes, ils, down, up), down, up)
+        seen, generators = self._seen, self.generators
+        path: list[_Node] = []
+        leaves = 0
+        while True:
+            target = _target(cells)
+            if target is not None:
+                path.append(_Node(cells, target, sorted(cells[target])))
             else:
-                first_order, first_chosen = first
-                gamma = [0] * len(order)
-                for a, b in zip(first_order, order):
-                    gamma[a] = b
-                generators.append(gamma)
-                depth = 0
-                while first_chosen[depth] == chosen[depth]:
-                    depth += 1
-                del path[depth + 1 :]
-        while path:
-            node = path[-1]
-            child = _next_child(node, [n.explored[-1] for n in path[:-1]], generators)
-            if child is not None:
-                break
-            path.pop()
-        else:
-            return leaves
-        cells = _individualize(node.cells, node.target, child, down, up)
+                leaves += 1
+                order = [c[0] for c in cells]
+                cert = _certificate(order, sizes, ils, covers)
+                chosen = [node.explored[-1] for node in path]
+                first = seen.get(cert)
+                if first is None:
+                    seen[cert] = (order, chosen)
+                    yield cert
+                else:
+                    first_order, first_chosen = first
+                    gamma = [0] * len(order)
+                    for a, b in zip(first_order, order):
+                        gamma[a] = b
+                    generators.append(gamma)
+                    depth = 0
+                    while first_chosen[depth] == chosen[depth]:
+                        depth += 1
+                    del path[depth + 1 :]
+            while path:
+                node = path[-1]
+                child = _next_child(node, [n.explored[-1] for n in path[:-1]], generators)
+                if child is not None:
+                    break
+                path.pop()
+            else:
+                return leaves
+            cells = _individualize(node.cells, node.target, child, down, up)
 
 
 def _next_child(node: _Node, prefix: list[int], generators: list[list[int]]) -> int | None:

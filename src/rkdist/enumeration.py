@@ -3,31 +3,35 @@
 "Admissible" means V1-V5; no claim of realizability by an actual theory is
 made.  Generation works on integers from start to finish.  The quotient
 posets are the bounded posets on k classes, each generated once up to
-isomorphism by adding one element at a time (Brinkmann and McKay, "Posets on
-up to 16 points", 2002).  On every such poset, each composition of the
-vertex budget into class sizes (the least class a singleton) and each
-limit-count vector is a candidate, given as class masks; its V1-V5 conditions
-are checked on the masks.  Isomorphic candidates have the same set of leaf
-certificates in the canonical search and equal certificates mean isomorphic
-profiles, so candidates collapse on their least certificate.  Canonical
-documents are built only for the survivors.
+isomorphism, with generators of its automorphism group, by canonical
+augmentation (Brinkmann and McKay, "Posets on up to 16 points", 2002).  On
+every such poset, each composition of the vertex budget into class sizes
+(the least class a singleton) and each limit-count vector is a labelling.
+Profiles on non-isomorphic posets are never isomorphic, and two labellings
+of one poset give isomorphic profiles exactly when an automorphism of the
+poset maps one onto the other.  So the candidates are the labellings least
+in their orbits, one per profile; V1-V5 are checked on their masks, and
+each gets its canonical document, the least over its leaf certificates.
+The documents are sorted once.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .core import (
     CanonicalProfile,
     InvalidProfile,
     ProfileError,
     _bits,
-    _Certificate,
+    _cell_keys,
     _failed_conditions,
+    _in_explored_orbit,
     _leaf_certificates,
     _least_document,
+    _root_cells,
 )
 
 __all__ = ["DEFAULT_TOTAL_CAP", "EnumerationResult", "InvalidTotal", "enumerate_profiles"]
@@ -47,42 +51,128 @@ class EnumerationResult:
     profiles: tuple[CanonicalProfile, ...]
 
 
-def _shape(down: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[tuple[int, int]]]:
-    """A poset's strictly-below masks, strictly-above masks and sorted cover pairs.
+# Class sizes and limit counts, by class.
+_Labelling = tuple[tuple[int, ...], tuple[int, ...]]
+_Item = TypeVar("_Item")
 
-    (a, b) is a cover when a is strictly below b and below nothing below b.
+
+class _Poset(NamedTuple):
+    """A bounded poset on 0..k-1: element 0 is least, k-1 greatest, and the identity is a
+    linear extension.  Its strictly-below and strictly-above masks, its cover pairs, the
+    mask of the elements that the top covers, and generators of its automorphism group
+    as element maps."""
+
+    down: tuple[int, ...]
+    up: list[int]
+    covers: list[tuple[int, int]]
+    maximal: int
+    generators: list[list[int]]
+
+
+def _one_per_orbit(
+    items: list[_Item], generators: list[list[int]], image: Callable[[_Item, list[int]], _Item]
+) -> list[_Item]:
+    """The first item, in the given order, of each orbit of the group the generators span.
+
+    The group acts by ``image``, and the items must be closed under it.
     """
-    up = [0] * len(down)
-    for b, d in enumerate(down):
-        for a in _bits(d):
-            up[a] |= 1 << b
-    return down, up, sorted((a, b) for b, d in enumerate(down) for a in _bits(d) if not d & up[a])
+    if not generators:
+        return items
+    kept = []
+    done: set[_Item] = set()
+    for item in items:
+        if item in done:
+            continue
+        kept.append(item)
+        done.add(item)
+        frontier = [item]
+        while frontier:
+            y = frontier.pop()
+            for g in generators:
+                z = image(y, g)
+                if z not in done:
+                    done.add(z)
+                    frontier.append(z)
+    return kept
+
+
+def _ideal_image(ideal: int, g: list[int]) -> int:
+    return sum(1 << g[i] for i in _bits(ideal))
+
+
+def _labelling_image(labelling: _Labelling, g: list[int]) -> _Labelling:
+    sizes, ils = labelling
+    return tuple(sizes[i] for i in g), tuple(ils[i] for i in g)
 
 
 @functools.lru_cache(maxsize=None)
-def _bounded_posets(k: int) -> tuple[tuple[int, ...], ...]:
-    """Bounded posets on 0..k-1 up to isomorphism, as tuples of strictly-below masks.
+def _bounded_posets(k: int) -> tuple[_Poset, ...]:
+    """Bounded posets on k elements, one per isomorphism class.
 
-    Element 0 is least, element k-1 greatest, and the identity is a linear
-    extension.  For k >= 3 each poset on k - 1 elements gets a new element
-    just below the top, whose down-set is any down-closed set containing the
-    bottom.  Every bounded poset arises so, since removing a maximal element
-    below the top leaves a bounded poset.  Isomorphic results collapse on
-    their least leaf certificate with uniform sizes and limit counts.
+    For k >= 3 each poset on k - 1 elements gets a new element x just below
+    the top, whose down-set is an ideal of the other elements that holds the
+    bottom.  Every bounded poset arises so, since removing an element that
+    the top covers leaves a bounded poset.  Canonical augmentation (McKay,
+    "Isomorph-free exhaustive generation", 1998) makes each one arise once:
+    - the parent tries one ideal per orbit of its automorphism group;
+    - the child is kept only if x shares an orbit with its canonical
+      element.  Of the elements that the top covers, that is one with the
+      largest down-set; of those, one in the last refined root cell that
+      holds one; and of that cell, the one first in the leaf order of the
+      least leaf certificate.
+    An isomorphism between two kept children can then be chosen to map x
+    to x, and it restricts to an automorphism of their one parent that maps
+    one ideal onto the other.  A search runs only where the root is not
+    discrete, which means the poset is not rigid, and its generators are
+    kept.  Each child takes its up-sets, covers and top-covered elements
+    from its parent.
     """
-    if k <= 2:
-        return ((0,),) if k == 1 else ((0, 1),)
-    top = (1 << (k - 1)) - 1
-    found: dict[_Certificate, tuple[int, ...]] = {}
-    for smaller in _bounded_posets(k - 1):
-        inner = smaller[:-1]
-        for sub in range(1 << (k - 3)):
-            d = sub << 1 | 1
-            if all(not inner[i] & ~d for i in _bits(d)):
-                down = (*inner, d, top)
-                certificates = list(_leaf_certificates([1] * k, [0] * k, *_shape(down)))
-                found.setdefault(min(certificates), down)
-    return tuple(found.values())
+    if k == 1:
+        return (_Poset((0,), [0], [], 0, []),)
+    if k == 2:
+        return (_Poset((0, 1), [2, 0], [(0, 1)], 1, []),)
+    x, top = k - 2, k - 1
+    x_bit, top_bit = 1 << x, 1 << top
+    uniform_sizes, uniform_ils = [1] * k, [0] * k
+    posets = []
+    for parent in _bounded_posets(k - 1):
+        inner = parent.down[:-1]
+        ideals = [1]
+        for i in range(1, x):
+            ideals += [d | 1 << i for d in ideals if not inner[i] & ~d]
+        for d in _one_per_orbit(ideals, parent.generators, _ideal_image):
+            size = d.bit_count()
+            kept_maximal = parent.maximal & ~d
+            if any(inner[i].bit_count() > size for i in _bits(kept_maximal)):
+                continue
+            down = (*inner, d, top_bit - 1)
+            # Below x the parent's top bit now means x; outside x's down-set it moves up.
+            up = [u if d >> i & 1 else u ^ x_bit for i, u in enumerate(parent.up[:-1])]
+            up = [u | top_bit for u in up] + [top_bit, 0]
+            cells = _root_cells(_cell_keys(uniform_sizes, uniform_ils, down, up), down, up)
+            maximal = kept_maximal | x_bit
+            # The cells split the initial ones, keyed by (|down|, |up|), so each is all
+            # rivals or none.
+            rivals = sum(1 << i for i in _bits(maximal) if down[i].bit_count() == size)
+            cell = next(c for c in reversed(cells) if rivals >> c[0] & 1)
+            if x not in cell:
+                continue
+            covers = [c for c in parent.covers if c[1] != x]
+            covers += [(i, x) for i in _bits(d) if not up[i] & d]
+            covers += [(i, top) for i in _bits(maximal)]
+            generators: list[list[int]] = []
+            if len(cells) < k:
+                search = _leaf_certificates(uniform_sizes, uniform_ils, down, up, covers, cells)
+                for _ in search:
+                    pass
+                if len(cell) > 1:
+                    order = search.least_order()
+                    first = min(cell, key=order.index)
+                    if x != first and not _in_explored_orbit(x, [first], search.generators):
+                        continue
+                generators = search.generators
+            posets.append(_Poset(down, up, covers, maximal, generators))
+    return tuple(posets)
 
 
 def _compositions_nonneg(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -98,6 +188,22 @@ def _compositions_nonneg(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
+def _labellings(n: int, k: int, budget: int) -> Iterator[_Labelling]:
+    """Class sizes and limit counts for n vertices in k classes and budget limit models,
+    in increasing order: the least class is a singleton with count 0, and every larger
+    class and the greatest one have a count of at least 1."""
+    # The least class is a singleton; the n - k spare vertices go to the others.
+    for rest in _compositions_nonneg(n - k, k - 1):
+        sizes = (1, *(r + 1 for r in rest))
+        floors = [0] + [1 if s > 1 else 0 for s in sizes[1:]]
+        floors[k - 1] = max(floors[k - 1], 1)
+        spare = budget - sum(floors)
+        if spare < 0:
+            continue
+        for extra in _compositions_nonneg(spare, k - 1):
+            yield sizes, (0, *(f + e for f, e in zip(floors[1:], extra)))
+
+
 def enumerate_profiles(total: int, max_vertices: int | None = None) -> EnumerationResult:
     """All admissible profiles with the given total countable-model count."""
     if not isinstance(total, int) or isinstance(total, bool) or total < 2:
@@ -105,32 +211,20 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
     if total > DEFAULT_TOTAL_CAP:
         raise InvalidTotal(f"total {total} exceeds the cap {DEFAULT_TOTAL_CAP}")
     nmax = total if max_vertices is None else min(total, max_vertices)
-    # least certificate -> canonical document of the first candidate with it
-    found: dict[_Certificate, bytes] = {}
+    documents = []
     # A single class would be a lone vertex with limit count 0 (V2), total 1.
     for n in range(2, nmax + 1):
-        budget = total - n
         for k in range(2, n + 1):
-            shapes = None
-            # The least class is a singleton; the n - k spare vertices go to the others.
-            for rest in _compositions_nonneg(n - k, k - 1):
-                sizes = (1, *(r + 1 for r in rest))
-                floors = [0] + [1 if s > 1 else 0 for s in sizes[1:]]
-                floors[k - 1] = max(floors[k - 1], 1)
-                spare = budget - sum(floors)
-                if spare < 0:
-                    continue
-                if shapes is None:
-                    shapes = [_shape(down) for down in _bounded_posets(k)]
-                for down, up, covers in shapes:
-                    for extra in _compositions_nonneg(spare, k - 1):
-                        ils = (0, *(f + e for f, e in zip(floors[1:], extra)))
-                        # Admissible by construction; raise if a candidate is not.
-                        failed = _failed_conditions(sizes, ils, down, up)
-                        if failed:
-                            raise InvalidProfile("profile fails " + ", ".join(failed))
-                        certificates = list(_leaf_certificates(sizes, ils, down, up, covers))
-                        key = min(certificates)
-                        if key not in found:
-                            found[key] = _least_document(certificates)
-    return EnumerationResult(total, tuple(CanonicalProfile(d) for d in sorted(found.values())))
+            labellings = list(_labellings(n, k, total - n))
+            if not labellings:
+                continue
+            for poset in _bounded_posets(k):
+                down, up, covers = poset.down, poset.up, poset.covers
+                for sizes, ils in _one_per_orbit(labellings, poset.generators, _labelling_image):
+                    # Admissible by construction; raise if a candidate is not.
+                    failed = _failed_conditions(sizes, ils, down, up)
+                    if failed:
+                        raise InvalidProfile("profile fails " + ", ".join(failed))
+                    certificates = list(_leaf_certificates(sizes, ils, down, up, covers))
+                    documents.append(_least_document(certificates))
+    return EnumerationResult(total, tuple(CanonicalProfile(d) for d in sorted(set(documents))))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     MAX_VERTICES,
@@ -25,10 +25,8 @@ from .core import (
     _ClassIndex,
     _class_structure,
     _closed_preorder,
-    _least,
     _profile,
     _require_admissible,
-    close_preorder,
     counts,
     is_isomorphic,
     quotient,
@@ -78,38 +76,85 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
         for x, xl in zip(ia.masks, a.limit_counts)
         for y, yl in zip(ib.masks, b.limit_counts)
     ]
-    # The members of (X, Y) and the classes around it are products of X's and Y's;
     # (X, Y) is covered by (X', Y) for X' covering X and (X, Y') for Y' covering Y.
-    members = [_spread(m, w) for m in ia.masks]
     covers_a = [_spread(m, kb) for m in ia.covers]
+    covers = tuple(
+        cx << y | cy << x * kb for x, cx in enumerate(covers_a) for y, cy in enumerate(ib.covers)
+    )
+    position = tuple(x * kb + y for x in ia.position for y in ib.position)
+    pair = sorted(range(len(names)), key=names.__getitem__)
+    if pair != list(range(len(names))):
+        # A factor name with "*" can break pair order: renumber the vertices by name.
+        index, moved = _renumbered(position, covers, pair)
+        return _profile(
+            _closed_preorder([names[v] for v in pair], index), tuple(ils[c] for c in moved)
+        )
+    # The members of (X, Y) and the classes around it are products of X's and Y's.
+    members = [_spread(m, w) for m in ia.masks]
     index = _ClassIndex(
         tuple(x * y for x in members for y in ib.masks),
-        tuple(x * kb + y for x in ia.position for y in ib.position),
+        position,
         _product_masks(ia.down, ib.down, kb),
         _product_masks(ia.up, ib.up, kb),
-        tuple(
-            cx << y | cy << x * kb for x, cx in enumerate(covers_a) for y, cy in enumerate(ib.covers)
-        ),
+        covers,
     )
-    pair = sorted(range(len(names)), key=names.__getitem__)
-    if pair == list(range(len(names))):
-        return _profile(_closed_preorder(names, index), tuple(ils))
-    # A factor name with "*" can break pair order: close, under the names, one
-    # cycle through each class's pairs and one pair per cover between least
-    # pairs, and read each class's (X, Y) off its least pair.
-    order = close_preorder(names, _generating_pairs(names, index))
-    return _profile(
-        order, tuple(ils[index.position[pair[_least(m)]]] for m in order._classes.masks)
-    )
+    return _profile(_closed_preorder(names, index), tuple(ils))
 
 
-def _generating_pairs(names: Sequence[str], index: _ClassIndex) -> Iterator[tuple[str, str]]:
-    """Pairs whose closure is the index's relation: a cycle per class, a pair per cover."""
-    for m, covers in zip(index.masks, index.covers):
-        members = [names[i] for i in _bits(m)]
-        yield from zip(members, members[1:] + members[:1])
-        for c in _bits(covers):
-            yield members[0], names[_least(index.masks[c])]
+def _renumbered(
+    position: Sequence[int], covers: Sequence[int], order: Sequence[int]
+) -> tuple[_ClassIndex, list[int]]:
+    """The class index of vertex classes and their upper covers, with vertex order[r]
+    renumbered r; and each new class's old position.
+
+    Classes go by least member again.  Along a linear extension of the
+    covers, from the bottom, each class passes its strict down-set on to
+    the classes that cover it; from the top, it takes its strict up-set
+    from them.
+    """
+    k = len(covers)
+    new = [-1] * k
+    old: list[int] = []
+    renumbered = []
+    for v in order:
+        c = position[v]
+        if new[c] < 0:
+            new[c] = len(old)
+            old.append(c)
+        renumbered.append(new[c])
+    masks = [0] * k
+    for r, q in enumerate(renumbered):
+        masks[q] |= 1 << r
+    upper = [[new[d] for d in _bits(covers[c])] for c in old]
+    lower = [0] * k
+    for ds in upper:
+        for d in ds:
+            lower[d] += 1
+    extension = [q for q in range(k) if not lower[q]]
+    for q in extension:
+        for d in upper[q]:
+            lower[d] -= 1
+            if not lower[d]:
+                extension.append(d)
+    down = [0] * k
+    for q in extension:
+        below = down[q] | 1 << q
+        for d in upper[q]:
+            down[d] |= below
+    up = [0] * k
+    for q in reversed(extension):
+        above = 0
+        for d in upper[q]:
+            above |= up[d] | 1 << d
+        up[q] = above
+    index = _ClassIndex(
+        tuple(masks),
+        tuple(renumbered),
+        tuple(down),
+        tuple(up),
+        tuple(sum(1 << d for d in ds) for ds in upper),
+    )
+    return index, old
 
 
 def _spread(mask: int, width: int) -> int:

@@ -5,7 +5,7 @@ import pytest
 
 from enum_oracle import naive_enumerate
 from labelled_enum import labelled_enumerate
-from rkdist import InvalidProfile, canonical_form, counts, make_profile, validate_profile
+from rkdist import InvalidProfile, canonical_form, core, counts, make_profile, validate_profile
 from rkdist import enumeration
 from rkdist.catalog import get
 from rkdist.enumeration import InvalidTotal, _bounded_posets, enumerate_profiles
@@ -116,7 +116,9 @@ def test_counts_up_to_total_10():
 
 def test_bounded_poset_counts():
     # unlabelled posets on k - 2 points (OEIS A000112)
-    assert [len(_bounded_posets(k)) for k in range(1, 10)] == [1, 1, 1, 2, 5, 16, 63, 318, 2045]
+    assert [len(_bounded_posets(k)) for k in range(1, 11)] == [
+        1, 1, 1, 2, 5, 16, 63, 318, 2045, 16999
+    ]
 
 
 def _is_bounded_poset(down):
@@ -140,7 +142,7 @@ def _relabelled(down, perm):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_bounded_posets_are_pairwise_non_isomorphic(k):
-    posets = _bounded_posets(k)
+    posets = [poset.down for poset in _bounded_posets(k)]
     assert all(_is_bounded_poset(d) for d in posets)
     seen = set()
     for down in posets:
@@ -149,9 +151,67 @@ def test_bounded_posets_are_pairwise_non_isomorphic(k):
         seen |= images
 
 
+def _automorphisms(down):
+    """Every automorphism of a bounded poset, found by permuting its inner elements."""
+    k = len(down)
+    perms = ((0, *inner, k - 1) for inner in itertools.permutations(range(1, k - 1)))
+    return {g for g in perms if _relabelled(down, g) == tuple(down)}
+
+
+def _group(generators, k):
+    """The group that the generators span, as tuples."""
+    group = {tuple(range(k))}
+    frontier = list(group)
+    while frontier:
+        h = frontier.pop()
+        for g in generators:
+            gh = tuple(g[i] for i in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_kept_generators_span_the_automorphism_group(k):
+    for poset in _bounded_posets(k):
+        assert _group(poset.generators, k) == _automorphisms(poset.down), poset.down
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_candidates_keep_the_least_labelling_of_each_orbit(k):
+    for poset in _bounded_posets(k):
+        automorphisms = _automorphisms(poset.down)
+        for n, budget in itertools.product(range(k, k + 3), range(1, 4)):
+            labellings = list(enumeration._labellings(n, k, budget))
+            kept = enumeration._one_per_orbit(
+                labellings, poset.generators, enumeration._labelling_image
+            )
+            least = {
+                min((tuple(sizes[i] for i in g), tuple(ils[i] for i in g)) for g in automorphisms)
+                for sizes, ils in labellings
+            }
+            assert len(kept) == len(least) and set(kept) == least, (poset.down, n, budget)
+
+
+def _poset(down):
+    """The enumeration's record of a bounded poset given by its strictly-below masks,
+    with the generators that the library's search records."""
+    k = len(down)
+    up = [sum(1 << b for b in range(k) if down[b] >> a & 1) for a in range(k)]
+    below = [(a, b) for b in range(k) for a in range(k) if down[b] >> a & 1]
+    covers = [(a, b) for a, b in below if not down[b] & up[a]]
+    search = core._leaf_certificates([1] * k, [0] * k, list(down), up, covers)
+    for _ in search:
+        pass
+    maximal = sum(1 << a for a, b in covers if b == k - 1)
+    return enumeration._Poset(tuple(down), up, covers, maximal, search.generators)
+
+
 def test_inadmissible_candidate_raises(monkeypatch):
     # three classes with two maximal ones: V3 and V4 fail, so no candidate may pass silently
-    monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: ((0, 1, 1),) if k == 3 else ())
+    posets = (_poset((0, 1, 1)),)
+    monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: posets if k == 3 else ())
     with pytest.raises(InvalidProfile, match="V3"):
         enumerate_profiles(5)
 
@@ -173,7 +233,7 @@ def _two_cycles_poset(shift):
 
 
 def test_isomorphic_candidates_collapse_whatever_their_first_leaf(monkeypatch):
-    copies = (_two_cycles_poset(0), _two_cycles_poset(1))
+    copies = (_poset(_two_cycles_poset(0)), _poset(_two_cycles_poset(1)))
     monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: copies if k == 14 else ())
     monkeypatch.setattr(enumeration, "DEFAULT_TOTAL_CAP", 15)
     # 14 singleton classes and one limit model on the top: one candidate per copy
@@ -187,14 +247,23 @@ def test_isomorphic_candidates_collapse_whatever_their_first_leaf(monkeypatch):
     assert result.profiles == (expected,)
 
 
-def test_augmentations_of_isomorphic_posets_collapse(monkeypatch):
-    # drop the last upper class; the shifted copy is isomorphic through the lower classes
+def test_augmentation_does_not_depend_on_the_labelling(monkeypatch):
+    # drop the last upper class; the shifted copies are isomorphic through the lower
+    # classes, and their searches start from different first leaves
     def smaller(shift):
         down = _two_cycles_poset(shift)
-        return (*down[:12], (1 << 12) - 1)
+        return _poset((*down[:12], (1 << 12) - 1))
 
     generate = _bounded_posets.__wrapped__
-    monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: (smaller(0),))
-    once = generate(14)
-    monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: (smaller(0), smaller(1)))
-    assert len(generate(14)) == len(once)
+    children = []
+    for shift in (0, 1):
+        parent = smaller(shift)
+        monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: (parent,))
+        children.append(
+            [
+                min(core._leaf_certificates([1] * 14, [0] * 14, c.down, c.up, c.covers))
+                for c in generate(14)
+            ]
+        )
+    assert len(children[0]) == len(children[1]) == len(set(children[0]))
+    assert set(children[0]) == set(children[1])

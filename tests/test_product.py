@@ -7,6 +7,7 @@ from rkdist import (
     FactorMismatch,
     NotALattice,
     ProfileError,
+    core,
     counts,
     decomposition,
     is_boolean_lattice,
@@ -46,7 +47,7 @@ def test_pareto_product_identity(base):
         assert is_isomorphic(pareto_product(SINGLE, profile), profile)
 
 
-def test_starred_product_closes_a_pair_per_vertex_and_cover(monkeypatch):
+def test_starred_product_permutes_the_factor_index(monkeypatch):
     # "b*a*c0" sorts before "b*c0", so the product's names break pair order
     starred = make_profile(
         ["b", "b*a", "b*a*a", "b*a*a*a"],
@@ -54,18 +55,19 @@ def test_starred_product_closes_a_pair_per_vertex_and_cover(monkeypatch):
         {"b": 0, "b*a": 1, "b*a*a*a": 1},
     )
     chain = make_profile(["c0", "c1", "c2"], [("c0", "c1"), ("c1", "c2")], {"c0": 0, "c1": 1, "c2": 1})
-    handed = []
-    original = product.close_preorder
+    closures = []
+    original = core._closure_index
 
-    def recording(vertices, pairs):
-        handed.append(list(pairs))
-        return original(vertices, handed[-1])
+    def recording(succ):
+        closures.append(succ)
+        return original(succ)
 
-    monkeypatch.setattr(product, "close_preorder", recording)
+    monkeypatch.setattr(core, "_closure_index", recording)
     p = pareto_product(starred, chain)
+    assert closures == []
+    assert p.order.names.index("b*a*c0") < p.order.names.index("b*c0")
     # 12 vertices in 9 classes, a 3 by 3 grid with 12 covers, where the
     # relation holds 11 * 6 pairs
-    assert [len(pairs) for pairs in handed] == [12 + 12]
     assert sum(c.bit_count() for c in p.order._classes.covers) == 12
     assert len(p.order.leq) == 66
     assert p == oracle_product(starred, chain)

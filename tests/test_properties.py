@@ -1,6 +1,6 @@
 """Algebraic invariants checked over randomly generated admissible profiles."""
 
-import contextlib
+import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -524,7 +524,11 @@ def test_cli_never_raises_on_drawn_argv(cli_files, data):
     argv = data.draw(st.lists(words, max_size=6))
     stdin = data.draw(st.one_of(st.binary(max_size=200), st.sampled_from(list(contents.values()))))
     # A bare word drawn as an -o target names a file in the working directory.
-    with contextlib.chdir(root):
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
         out, err, code = cli.run(argv, stdin)
+    finally:
+        os.chdir(cwd)
     assert isinstance(out, bytes) and isinstance(err, bytes)
     assert code in (0, 1, 2)
