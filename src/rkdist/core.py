@@ -656,7 +656,20 @@ def _refine(
 
     Each pass splits every cell by its members' signatures, their (below,
     above) counts against each cell in position order, and puts the pieces
-    in increasing signature order; passes repeat until no cell splits.
+    in increasing signature order; passes repeat until no cell splits or
+    every cell is a singleton.
+
+    A pass holds each column as bit planes over the classes: plane k of a
+    cell's "below" column is the mask of the classes with bit k set in their
+    count of its members below them.  A singleton f has the planes ``up[f]``
+    and ``down[f]``; a larger cell sums its members' ``up`` masks, and their
+    ``down`` masks, with a ripple carry.  A cell is split by the planes in
+    signature order, "below" before "above" and most significant first,
+    each piece into its members outside the plane, then those inside it:
+    the numeric order of the counts.  A plane that holds all of the cell's
+    members or none splits nothing and is skipped, so a column constant on
+    the cell costs a mask test per plane and no per-member work.  Pieces
+    keep the cell's member order.
 
     Only the columns of the fresh cells are computed.  Every other column is
     constant inside each cell, so it changes neither the grouping nor the
@@ -671,35 +684,44 @@ def _refine(
     is not a function of the columns before it, so dropping it can merge
     pieces or change their order.
     """
-    width = len(down).bit_length()
     fresh = range(len(cells)) if fresh is None else fresh
-    while fresh:
-        masks = []
+    while fresh and len(cells) < len(down):
+        planes: list[int] = []
         for i in fresh:
-            m = 0
-            for e in cells[i]:
-                m |= 1 << e
-            masks.append(m)
+            c = cells[i]
+            if len(c) == 1:
+                planes += (up[c[0]], down[c[0]])
+                continue
+            below: list[int] = []
+            above: list[int] = []
+            for e in c:
+                for sums, x in ((below, up[e]), (above, down[e])):
+                    for k, p in enumerate(sums):
+                        sums[k], x = p ^ x, p & x
+                        if not x:
+                            break
+                    else:
+                        sums.append(x)
+            planes += below[::-1] + above[::-1]
         new_cells: list[list[int]] = []
         fresh = []
         for c in cells:
             if len(c) == 1:
                 new_cells.append(c)
                 continue
-            # Fixed-width counts, so numeric order is the order of the count tuples.
-            groups: dict[int, list[int]] = {}
+            m = 0
             for e in c:
-                d, u = down[e], up[e]
-                sig = 0
-                for m in masks:
-                    sig = ((sig << width | (d & m).bit_count()) << width) | (u & m).bit_count()
-                groups.setdefault(sig, []).append(e)
-            if len(groups) == 1:
+                m |= 1 << e
+            pieces = [m]
+            for p in planes:
+                if 0 < p & m < m:
+                    pieces = [h for g in pieces for h in (g & ~p, g & p) if h]
+            if len(pieces) == 1:
                 new_cells.append(c)
                 continue
-            for sig in sorted(groups):
+            for g in pieces:
                 fresh.append(len(new_cells))
-                new_cells.append(groups[sig])
+                new_cells.append([e for e in c if g >> e & 1])
             fresh.pop()
         cells = new_cells
     return cells

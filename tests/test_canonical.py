@@ -71,10 +71,13 @@ def test_diamond_power_4_matches_oracle():
 
 def _refinements_agree(profile, rng):
     """The library's root and its cells after each individualization along one random
-    path equal full passes of the oracle's refinement over the same cells."""
+    path equal full passes of the oracle's refinement over the same cells, and the
+    initial cells with their members reversed refine as the oracle refines them."""
     sizes, ils, down, up, _ = core._class_structure(profile)
     cells = core._root_cells(core._cell_keys(sizes, ils, down, up), down, up)
     assert cells == full_refine(initial_cells(sizes, ils, down, up), down, up)
+    reversed_cells = [c[::-1] for c in initial_cells(sizes, ils, down, up)]
+    assert core._refine(reversed_cells, down, up) == full_refine(reversed_cells, down, up)
     while (t := core._target(cells)) is not None:
         e = rng.choice(cells[t])
         rest = [x for x in cells[t] if x != e]
@@ -127,6 +130,23 @@ def test_refinement_matches_full_passes_on_layers(profile, rng):
     _refinements_agree(profile, rng)
 
 
+@given(st.integers(1, 24), st.floats(0, 1), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_refinement_of_any_partition_matches_full_passes(n, density, rng):
+    """A random strict order and a random partition into up to four cells, members
+    shuffled: cells that no initial key has separated, with counts up to 23."""
+    down = [0] * n
+    for b in range(n):
+        for a in range(b):
+            if rng.random() < density:
+                down[b] |= 1 << a | down[a]
+    up = [sum(1 << b for b in range(n) if down[b] >> a & 1) for a in range(n)]
+    label = [rng.randrange(4) for _ in range(n)]
+    members = rng.sample(range(n), n)
+    cells = [c for c in ([e for e in members if label[e] == k] for k in range(4)) if c]
+    assert core._refine(cells, down, up) == full_refine(cells, down, up)
+
+
 def test_refinement_matches_full_passes_on_base_products(base):
     rng = random.Random(5)
     names = sorted(BASE_NAMES)
@@ -137,6 +157,10 @@ def test_refinement_matches_full_passes_on_base_products(base):
     for profile in (_layers(REGULAR_LAYERS["cubic"]), product_many([get("fig2.8")] * 3)):
         for _ in range(5):
             _refinements_agree(profile, rng)
+    # fresh cells of up to 70 members, whose counts take up to seven planes and carries,
+    # columns constant at a count neither 0 nor the cell's size, and 64-member cells
+    _refinements_agree(product_many([get("fig1a")] * 8), rng)
+    _refinements_agree(_layers(_edge_disjoint_matchings(64)), rng)
 
 
 def test_fig1a_power_8_finishes():
