@@ -1,7 +1,10 @@
-"""Document writer for the "rkp 1" format.
+"""Document writer for the "rkp 1" format, shared by the serializer and canonical form.
 
-Shared by the serializer and by canonical-form construction so that both emit
-byte-identical documents for the same labeled structure.
+It sorts nothing.  Its callers give the vertex names sorted, the classes in
+order of their least members (the representatives) with each member list
+sorted, and the cover pairs sorted; sorted (X, Y) pairs of representatives
+give sorted "le X Y" lines, since every name character, [A-Za-z0-9_*], sorts
+above the space.
 """
 
 from __future__ import annotations
@@ -12,27 +15,19 @@ HEADER = "rkp 1"
 
 
 def document(
+    names: Sequence[str],
     members_by_class: Sequence[Sequence[str]],
     limit_counts: Sequence[int],
     cover_pairs: Sequence[tuple[int, int]],
 ) -> bytes:
-    """The document of a labeled structure: header, vertex, le and il lines.
-
-    ``members_by_class[i]`` holds the vertex names of one domination class,
-    ``limit_counts[i]`` its limit count, and ``cover_pairs`` the Hasse cover
-    relation as (lower, upper) class indices.  The representative of a class
-    is its lexicographically least member.
-    """
-    members = [sorted(ms) for ms in members_by_class]
-    class_order = sorted(range(len(members)), key=lambda i: members[i][0])
-
-    lines = [HEADER]
-    lines.extend(f"vertex {v}" for v in sorted(v for ms in members for v in ms))
-    for i in class_order:
-        ms = members[i]
+    """Header, vertex, le and il lines: ``names`` holds every vertex name,
+    ``members_by_class[i]`` one domination class, ``limit_counts[i]`` its limit
+    count, and ``cover_pairs`` the Hasse covers as (lower, upper) class indices."""
+    reps = [ms[0] for ms in members_by_class]
+    lines = [HEADER, *(f"vertex {v}" for v in names)]
+    for ms in members_by_class:
         if len(ms) > 1:
-            lines.extend(f"le {ms[j]} {ms[(j + 1) % len(ms)]}" for j in range(len(ms)))
-    lines.extend(sorted(f"le {members[a][0]} {members[b][0]}" for a, b in cover_pairs))
-    lines.extend(f"il {members[i][0]} {limit_counts[i]}" for i in class_order)
-    # LF line endings and a trailing newline, always.
+            lines += [f"le {a} {b}" for a, b in zip(ms, [*ms[1:], ms[0]])]
+    lines += [f"le {reps[a]} {reps[b]}" for a, b in cover_pairs]
+    lines += [f"il {r} {count}" for r, count in zip(reps, limit_counts)]
     return ("\n".join(lines) + "\n").encode("utf-8")

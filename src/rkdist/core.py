@@ -914,28 +914,34 @@ def _next_child(node: _Node, prefix: list[int], generators: list[list[int]]) -> 
     return None
 
 
-def _document(cert: _Certificate, cw: int, mw: int) -> bytes:
+def _least_certificate(
+    sizes: list[int], ils: list[int], down: list[int], up: list[int], covers: list[tuple[int, int]]
+) -> _Certificate:
+    """The least leaf certificate; a discrete root is the only leaf.  Its document is the
+    least leaf document, since the leaves share class sizes and limit counts in leaf
+    order and their documents differ only in cover lines between names sorted by position."""
+    cells = _root_cells(_cell_keys(sizes, ils, down, up), down, up)
+    if len(cells) == len(sizes):
+        return _certificate([c[0] for c in cells], sizes, ils, covers)
+    return min(_leaf_certificates(sizes, ils, down, up, covers, cells))
+
+
+def _document(cert: _Certificate) -> bytes:
+    """Class p named n{p}, or n{p}_{j} per member, with fixed widths: sorted by position."""
     sizes, ils, covers = cert
+    cw = max(2, len(str(len(sizes) - 1)))
+    mw = max(2, len(str(max(sizes) - 1)))
     members = [
         [f"n{p:0{cw}d}"] if size == 1 else [f"n{p:0{cw}d}_{j:0{mw}d}" for j in range(size)]
         for p, size in enumerate(sizes)
     ]
-    return _format.document(members, ils, covers)
-
-
-def _least_document(certificates: list[_Certificate]) -> bytes:
-    """The least document over the leaf certificates of one profile: its canonical bytes."""
-    sizes = certificates[0][0]
-    cw = max(2, len(str(len(sizes) - 1)))
-    mw = max(2, len(str(max(sizes) - 1)))
-    return min(_document(cert, cw, mw) for cert in certificates)
+    return _format.document([v for ms in members for v in ms], members, ils, covers)
 
 
 def canonical_form(profile: RkProfile) -> CanonicalProfile:
-    """Relabel by a canonical class ordering and serialize; minimum over leaf certificates."""
+    """Serialize the relabelling by the class order of the least leaf certificate."""
     _require_admissible(profile)
-    certificates = list(_leaf_certificates(*_class_structure(profile)))
-    return CanonicalProfile(_least_document(certificates))
+    return CanonicalProfile(_document(_least_certificate(*_class_structure(profile))))
 
 
 def is_isomorphic(a: RkProfile, b: RkProfile) -> bool:

@@ -10,9 +10,8 @@ every such poset, each composition of the vertex budget into class sizes
 Profiles on non-isomorphic posets are never isomorphic, and two labellings
 of one poset give isomorphic profiles exactly when an automorphism of the
 poset maps one onto the other.  So the candidates are the labellings least
-in their orbits, one per profile; V1-V5 are checked on their masks, and
-each gets its canonical document, the least over its leaf certificates.
-The documents are sorted once.
+in their orbits, one per profile.  Each is checked for V1-V5 on its masks
+and written once, as the document of its least leaf certificate.
 """
 
 from __future__ import annotations
@@ -28,9 +27,10 @@ from .core import (
     _bits,
     _cell_keys,
     _failed_conditions,
+    _document,
     _in_explored_orbit,
     _leaf_certificates,
-    _least_document,
+    _least_certificate,
     _root_cells,
 )
 
@@ -225,6 +225,5 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
                     failed = _failed_conditions(sizes, ils, down, up)
                     if failed:
                         raise InvalidProfile("profile fails " + ", ".join(failed))
-                    certificates = list(_leaf_certificates(sizes, ils, down, up, covers))
-                    documents.append(_least_document(certificates))
+                    documents.append(_document(_least_certificate(sizes, ils, down, up, covers)))
     return EnumerationResult(total, tuple(CanonicalProfile(d) for d in sorted(set(documents))))

@@ -178,7 +178,7 @@ def serialize(profile: RkProfile) -> bytes:
     names = profile.order.names
     index = profile.order._classes
     members = [[names[j] for j in _bits(m)] for m in index.masks]
-    return _format.document(members, profile.limit_counts, _cover_pairs(index.covers))
+    return _format.document(names, members, profile.limit_counts, _cover_pairs(index.covers))
 
 
 def render_dot(profile: RkProfile) -> bytes:

@@ -183,15 +183,25 @@ def test_forty_class_antichain_finishes():
     assert len(certificates) == 1
 
 
-def _layers(edges):
-    """Bottom, top, and lower classes x_i below upper classes y_j for (i, j) in edges."""
+def _layers(edges, members=(1, 1)):
+    """Bottom, top, and lower classes x_i below upper classes y_j for (i, j) in edges.
+
+    Each lower class has ``members[0]`` members and each upper class
+    ``members[1]``; a class with several has limit count 1, others 0.
+    """
     n = 1 + max(i for i, _ in edges)
-    lower = [f"x{i}" for i in range(n)]
-    upper = [f"y{j}" for j in range(n)]
-    pairs = [("bot", x) for x in lower] + [(y, "top") for y in upper]
-    pairs += [(lower[i], upper[j]) for i, j in edges]
-    il = {"bot": 0, "top": 1} | {v: 0 for v in lower + upper}
-    return make_profile(["bot", "top", *lower, *upper], pairs, il)
+
+    def named(prefix, size):
+        return [prefix] if size == 1 else [f"{prefix}_{m}" for m in range(size)]
+
+    lower = [named(f"x{i}", members[0]) for i in range(n)]
+    upper = [named(f"y{j}", members[1]) for j in range(n)]
+    pairs = [("bot", x[0]) for x in lower] + [(y[0], "top") for y in upper]
+    pairs += [(lower[i][0], upper[j][0]) for i, j in edges]
+    pairs += [(ms[m], ms[(m + 1) % len(ms)]) for ms in lower + upper for m in range(len(ms))]
+    il = {"bot": 0, "top": 1} | {ms[0]: int(len(ms) > 1) for ms in lower + upper}
+    vertices = [v for ms in lower + upper for v in ms]
+    return make_profile(["bot", "top", *vertices], pairs, il)
 
 
 # Every lower class lies below, and every upper class above, the same number
@@ -212,10 +222,19 @@ REGULAR_LAYERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REGULAR_LAYERS))
-def test_regular_layers_match_oracle(name):
+@pytest.mark.parametrize(
+    "name, members",
+    [
+        pytest.param(name, m, id=name if m == (1, 1) else "%s-members_%dx%d" % (name, *m))
+        for name in sorted(REGULAR_LAYERS)
+        for m in [(1, 1), (2, 1), (1, 3)]
+    ],
+)
+def test_regular_layers_match_oracle(name, members):
+    # the walk yields several certificates, and the document of the least one is
+    # the least document over every leaf of the unpruned tree
     edges = REGULAR_LAYERS[name]
-    profile = _layers(edges)
+    profile = _layers(edges, members)
     certificates, _ = _search(profile)
     assert len(certificates) > 1
     text = canonical_form(profile).canonical_text
@@ -223,7 +242,7 @@ def test_regular_layers_match_oracle(name):
     # relabelled copies start their search in other parts of the layer graph
     n = 1 + max(i for i, _ in edges)
     for shift in range(1, n):
-        twin = _layers([((i + shift) % n, j) for i, j in edges])
+        twin = _layers([((i + shift) % n, j) for i, j in edges], members)
         assert canonical_form(twin).canonical_text == text
         assert is_isomorphic(profile, twin) and is_isomorphic(twin, profile)
 

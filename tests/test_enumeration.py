@@ -3,8 +3,9 @@ import itertools
 
 import pytest
 
+from canon_oracle import oracle_canonical_text
 from enum_oracle import naive_enumerate
-from labelled_enum import labelled_enumerate
+from labelled_enum import build, labelled_enumerate
 from rkdist import InvalidProfile, canonical_form, core, counts, make_profile, validate_profile
 from rkdist import enumeration
 from rkdist.catalog import get
@@ -267,3 +268,27 @@ def test_augmentation_does_not_depend_on_the_labelling(monkeypatch):
         )
     assert len(children[0]) == len(children[1]) == len(set(children[0]))
     assert set(children[0]) == set(children[1])
+
+
+def test_candidate_documents_are_the_least_leaf_documents():
+    # Each candidate gets the document of its least certificate; the unpruned
+    # oracle writes every leaf's document and takes the least.  No labelling of a
+    # poset on up to 8 classes has a walk with two distinct certificates, so the
+    # two-cycles poset supplies those.
+    checked = several = 0
+    non_rigid = [p for k in range(4, 8) for p in _bounded_posets(k) if p.generators]
+    for poset in [*non_rigid, _poset(_two_cycles_poset(0))]:
+        k = len(poset.down)
+        for n, budget in [(k, 1), (k, 2), (k + 1, 2)]:
+            labellings = list(enumeration._labellings(n, k, budget))
+            for sizes, ils in enumeration._one_per_orbit(
+                labellings, poset.generators, enumeration._labelling_image
+            ):
+                structure = (sizes, ils, poset.down, poset.up, poset.covers)
+                document = core._document(core._least_certificate(*structure))
+                profile = build(sizes, poset.down, ils)
+                assert document == oracle_canonical_text(profile), (poset.down, sizes, ils)
+                assert canonical_form(profile).canonical_text == document
+                checked += 1
+                several += len(list(core._leaf_certificates(*structure))) > 1
+    assert checked > 500 and several >= 3

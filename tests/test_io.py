@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from canon_oracle import position_document, sorting_document
 from rkdist import (
     InvalidProfile,
     UnknownVertex,
     cli,
+    core,
     counts,
     is_isomorphic,
     make_profile,
@@ -326,3 +329,85 @@ def test_document_and_product_at_the_vertex_limit():
     product = pareto_product(half, chain_profile([0, 1]))
     assert len(product.order.names) == MAX_VERTICES
     assert counts(product).prime_count == MAX_VERTICES
+
+
+# Names that mix lengths, digits, case, "_" and "*", among them prefix pairs
+# such as "a", "a_" and "ab", whose order the writer's cover lines must keep.
+_NAMES = st.one_of(
+    st.sampled_from(["a", "a_", "ab", "a*", "a0", "A", "b", "b_a", "b*a", "Z9", "_", "*"]),
+    st.text(alphabet="aAbZ09_*", min_size=1, max_size=4),
+)
+
+
+@st.composite
+def named_documents(draw):
+    """An admissible profile's classes, limit counts and covers, and a document of it.
+
+    Classes are drawn bottom first, the bottom a singleton with count 0; the
+    classes between it and the top lie under a random strict order.  Names
+    are dealt to the classes in a shuffled order, and the document's
+    statements are shuffled too.  Returns (members by class, limit counts,
+    cover pairs between class indices in shuffled order, the document).
+    """
+    k = draw(st.integers(1, 6))
+    sizes = [1] + [draw(st.integers(1, 3)) for _ in range(k - 1)]
+    names = draw(st.lists(_NAMES, min_size=sum(sizes), max_size=sum(sizes), unique=True))
+    members, start = [], 0
+    for size in sizes:
+        members.append(names[start : start + size])
+        start += size
+    # V2, V4 and V5: the bottom's count is 0, the top's and a larger class's positive
+    ils = [draw(st.integers(int(s > 1 or i == k - 1), 3)) if i else 0 for i, s in enumerate(sizes)]
+    below = [[False] * k for _ in range(k)]  # below[a][b]: class a strictly under class b
+    for b in range(1, k):
+        below[0][b] = True
+    for a in range(1, k - 1):
+        below[a][k - 1] = True
+        for b in range(a + 1, k - 1):
+            below[a][b] = draw(st.booleans())
+    for c in range(k):  # transitive closure, Warshall's order
+        for a in range(k):
+            for b in range(k):
+                below[a][b] = below[a][b] or (below[a][c] and below[c][b])
+    covers = [
+        (a, b)
+        for a in range(k)
+        for b in range(k)
+        if below[a][b] and not any(below[a][c] and below[c][b] for c in range(k))
+    ]
+    statements = [f"vertex {v}" for v in names]
+    statements += [f"le {ms[j]} {ms[(j + 1) % len(ms)]}" for ms in members for j in range(len(ms))]
+    statements += [f"le {members[a][-1]} {members[b][0]}" for a, b in covers]
+    statements += [f"il {draw(st.sampled_from(ms))} {n}" for ms, n in zip(members, ils)]
+    text = "\n".join(["rkp 1", *draw(st.permutations(statements))])
+    return members, ils, draw(st.permutations(covers)), text
+
+
+@given(named_documents())
+@settings(max_examples=200, deadline=None)
+def test_serialize_meets_the_sorting_writer(drawn):
+    # serialize hands the writer sorted names, classes in representative order
+    # and sorted covers, which it writes as they come; the oracle sorts them
+    members, ils, covers, text = drawn
+    assert serialize(parse(text)) == sorting_document(members, ils, covers)
+
+
+@st.composite
+def certificates(draw):
+    """Class sizes, limit counts and sorted cover pairs by leaf position, any of them;
+    up to 110 classes or members, so that names take two digits or three."""
+    counts = st.one_of(st.integers(1, 12), st.integers(99, 110))
+    k = draw(counts)
+    sizes = draw(st.lists(counts, min_size=k, max_size=k))
+    ils = draw(st.lists(st.integers(0, 20), min_size=k, max_size=k))
+    pairs = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda c: c[0] != c[1])
+    covers = draw(st.lists(pairs, max_size=3 * k, unique=True))
+    return tuple(sizes), tuple(ils), tuple(sorted(covers))
+
+
+@given(certificates(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_certificate_document_meets_the_sorting_writer(cert, rng):
+    sizes, ils, covers = cert
+    shuffled = rng.sample(covers, len(covers))
+    assert core._document(cert) == position_document(sizes, ils, shuffled)
