@@ -802,27 +802,30 @@ class _leaf_certificates(Iterator[_Certificate]):
     """Each distinct leaf certificate of the individualization-refinement tree, when first
     found; the StopIteration that ends the walk carries the number of leaves visited.
 
-    The root is the refined partition into initial cells (``cells`` when the
-    caller has it already); a node's children individualize, in increasing
-    order, each member of its first non-singleton cell, then refine.  The
-    walk is depth first, with an explicit stack.
+    The root is ``cells``, the refined partition into initial cells; a node's
+    children individualize, in increasing order, each member of its first
+    non-singleton cell, then refine.  The walk is depth first, with an
+    explicit stack.
     A leaf whose certificate was seen before gives an automorphism (the map
     from the earlier leaf order to this one), and the walk backjumps to the
     deepest common ancestor of the two leaves, since the rest of the current
     subtree there is the automorphism's image of an explored one.  A child
-    whose class shares an orbit with an explored sibling, under the recorded
+    whose class shares an orbit with an explored sibling, under the known
     automorphisms that fix the node's individualized classes, is skipped for
-    the same reason.  Only automorphic images of explored subtrees are
-    skipped, so every certificate of the whole tree is found (McKay and
-    Piperno, "Practical graph isomorphism, II", 2014).  A caller that stops
-    early skips the rest of the walk.  The first certificate is always the
-    first leaf's, reached by individualizing the least member of each target
-    cell, since no automorphism is recorded before it.
+    the same reason.  The known automorphisms are those recorded so far and
+    ``seed``, automorphisms of the labelled classes that the caller holds
+    already.  Only automorphic images of explored subtrees are skipped, so
+    every certificate of the whole tree is found (McKay and Piperno,
+    "Practical graph isomorphism, II", 2014).  A caller that stops early
+    skips the rest of the walk.  The first certificate is always the first
+    leaf's, reached by individualizing the least member of each target cell,
+    since a node's first child has no explored sibling and so is never
+    skipped, whatever automorphisms are known.
 
-    The walk keeps what it finds: ``generators``, the recorded automorphisms
-    as class maps, and ``least_order()``, the leaf order of the least
-    certificate so far.  After the whole walk the generators span the
-    automorphism group.  On the first leaf's path, the first leaf of each
+    The walk keeps what it finds: ``generators``, the seed and the recorded
+    automorphisms as class maps, and ``least_order()``, the leaf order of
+    the least certificate so far.  After the whole walk the generators span
+    the automorphism group.  On the first leaf's path, the first leaf of each
     explored sibling subtree repeats a certificate of the first child's
     subtree, so the walk records an automorphism that fixes the path above
     and maps the first child to the sibling; the skipped siblings lie in the
@@ -836,11 +839,12 @@ class _leaf_certificates(Iterator[_Certificate]):
         down: list[int],
         up: list[int],
         covers: list[tuple[int, int]],
-        cells: list[list[int]] | None = None,
+        cells: list[list[int]],
+        seed: Sequence[list[int]] = (),
     ) -> None:
         # certificate -> (leaf order, individualized class per level) of its first leaf
         self._seen: dict[_Certificate, tuple[list[int], list[int]]] = {}
-        self.generators: list[list[int]] = []
+        self.generators: list[list[int]] = list(seed)
         self._walk = self._leaves(sizes, ils, down, up, covers, cells)
 
     def __next__(self) -> _Certificate:
@@ -857,10 +861,8 @@ class _leaf_certificates(Iterator[_Certificate]):
         down: list[int],
         up: list[int],
         covers: list[tuple[int, int]],
-        cells: list[list[int]] | None,
+        cells: list[list[int]],
     ) -> Generator[_Certificate, None, int]:
-        if cells is None:
-            cells = _root_cells(_cell_keys(sizes, ils, down, up), down, up)
         seen, generators = self._seen, self.generators
         path: list[_Node] = []
         leaves = 0
@@ -915,27 +917,59 @@ def _next_child(node: _Node, prefix: list[int], generators: list[list[int]]) -> 
 
 
 def _least_certificate(
-    sizes: list[int], ils: list[int], down: list[int], up: list[int], covers: list[tuple[int, int]]
+    sizes: list[int],
+    ils: list[int],
+    down: list[int],
+    up: list[int],
+    covers: list[tuple[int, int]],
+    automorphisms: Sequence[list[int]] = (),
 ) -> _Certificate:
     """The least leaf certificate; a discrete root is the only leaf.  Its document is the
     least leaf document, since the leaves share class sizes and limit counts in leaf
-    order and their documents differ only in cover lines between names sorted by position."""
+    order and their documents differ only in cover lines between names sorted by position.
+
+    ``automorphisms`` are automorphisms of the classes' order, and those of them that
+    keep the labels seed the walk."""
     cells = _root_cells(_cell_keys(sizes, ils, down, up), down, up)
     if len(cells) == len(sizes):
         return _certificate([c[0] for c in cells], sizes, ils, covers)
-    return min(_leaf_certificates(sizes, ils, down, up, covers, cells))
+    seed = _keeping_labels(automorphisms, sizes, ils)
+    return min(_leaf_certificates(sizes, ils, down, up, covers, cells, seed))
 
 
-def _document(cert: _Certificate) -> bytes:
-    """Class p named n{p}, or n{p}_{j} per member, with fixed widths: sorted by position."""
-    sizes, ils, covers = cert
-    cw = max(2, len(str(len(sizes) - 1)))
-    mw = max(2, len(str(max(sizes) - 1)))
-    members = [
-        [f"n{p:0{cw}d}"] if size == 1 else [f"n{p:0{cw}d}_{j:0{mw}d}" for j in range(size)]
-        for p, size in enumerate(sizes)
+def _keeping_labels(
+    automorphisms: Sequence[list[int]], sizes: Sequence[int], ils: Sequence[int]
+) -> list[list[int]]:
+    """The class maps under which the sizes and limit counts are invariant."""
+    return [
+        g
+        for g in automorphisms
+        if all(sizes[x] == s and ils[x] == c for x, s, c in zip(g, sizes, ils))
     ]
-    return _format.document([v for ms in members for v in ms], members, ils, covers)
+
+
+# Class sizes -> document head and class representatives.
+_Heads = dict[tuple[int, ...], tuple[bytes, list[str]]]
+
+
+def _document(cert: _Certificate, heads: _Heads | None = None) -> bytes:
+    """Class p named n{p}, or n{p}_{j} per member, with fixed widths: sorted by position.
+
+    The head depends only on the class sizes; ``heads`` keeps the heads written so far."""
+    sizes, ils, covers = cert
+    if heads is None:
+        heads = {}
+    if sizes not in heads:
+        cw = max(2, len(str(len(sizes) - 1)))
+        mw = max(2, len(str(max(sizes) - 1)))
+        members = [
+            [f"n{p:0{cw}d}"] if size == 1 else [f"n{p:0{cw}d}_{j:0{mw}d}" for j in range(size)]
+            for p, size in enumerate(sizes)
+        ]
+        names = [v for ms in members for v in ms]
+        heads[sizes] = _format.head(names, members), [ms[0] for ms in members]
+    head, reps = heads[sizes]
+    return head + _format.tail(reps, ils, covers)
 
 
 def canonical_form(profile: RkProfile) -> CanonicalProfile:

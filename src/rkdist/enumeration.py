@@ -12,6 +12,14 @@ of one poset give isomorphic profiles exactly when an automorphism of the
 poset maps one onto the other.  So the candidates are the labellings least
 in their orbits, one per profile.  Each is checked for V1-V5 on its masks
 and written once, as the document of its least leaf certificate.
+
+A candidate whose refined root is not discrete needs a walk of its search
+tree for that certificate.  The walk starts with the poset's generators
+under which the labelling is invariant: they are automorphisms of the
+labelled profile, so it skips their images from the start instead of
+finding them leaf by leaf.  A document is a head, which depends only on
+the certificate's class sizes, and a tail, the cover and il lines; each
+call writes the head of each size vector once.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .core import (
     CanonicalProfile,
     InvalidProfile,
     ProfileError,
+    _Heads,
     _bits,
     _cell_keys,
     _failed_conditions,
@@ -212,6 +221,7 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
         raise InvalidTotal(f"total {total} exceeds the cap {DEFAULT_TOTAL_CAP}")
     nmax = total if max_vertices is None else min(total, max_vertices)
     documents = []
+    heads: _Heads = {}
     # A single class would be a lone vertex with limit count 0 (V2), total 1.
     for n in range(2, nmax + 1):
         for k in range(2, n + 1):
@@ -225,5 +235,6 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
                     failed = _failed_conditions(sizes, ils, down, up)
                     if failed:
                         raise InvalidProfile("profile fails " + ", ".join(failed))
-                    documents.append(_document(_least_certificate(sizes, ils, down, up, covers)))
+                    cert = _least_certificate(sizes, ils, down, up, covers, poset.generators)
+                    documents.append(_document(cert, heads))
     return EnumerationResult(total, tuple(CanonicalProfile(d) for d in sorted(set(documents))))

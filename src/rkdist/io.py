@@ -178,7 +178,9 @@ def serialize(profile: RkProfile) -> bytes:
     names = profile.order.names
     index = profile.order._classes
     members = [[names[j] for j in _bits(m)] for m in index.masks]
-    return _format.document(names, members, profile.limit_counts, _cover_pairs(index.covers))
+    reps = [ms[0] for ms in members]
+    covers = _cover_pairs(index.covers)
+    return _format.head(names, members) + _format.tail(reps, profile.limit_counts, covers)
 
 
 def render_dot(profile: RkProfile) -> bytes:

@@ -33,7 +33,8 @@ def _drain(walk):
 
 
 def _search(profile):
-    return _drain(core._leaf_certificates(*core._class_structure(profile)))
+    structure, root = _structure_and_root(profile)
+    return _drain(core._leaf_certificates(*structure, root))
 
 
 @pytest.mark.parametrize("value", [1, 2, 3])
@@ -389,7 +390,8 @@ def _first_leaf(profile):
 
 def _first_certificate(profile):
     """The library walk's first certificate; the walk individualizes only along its path."""
-    return next(core._leaf_certificates(*core._class_structure(profile)))
+    structure, root = _structure_and_root(profile)
+    return next(core._leaf_certificates(*structure, root))
 
 
 def _shuffled_copy(profile, seed):

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rkdist
 from rkdist import core, product
 from rkdist.catalog import chain_profile, get
 from rkdist.cli import ORACLE_BUDGET, run
@@ -495,3 +499,20 @@ def test_product_over_the_vertex_limit_exits_2(tmp_path, monkeypatch, command):
     n = 100 * (MAX_VERTICES // 100 + 1)
     assert err == f"error: the product would have {n} vertices, more than {MAX_VERTICES}\n".encode()
     assert built == []
+
+
+def test_python_m_rkdist_runs_the_command_line():
+    src = str(Path(rkdist.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    results = []
+    for argv in (["enumerate", "--total", "3"], ["enumerate", "--total", "1"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "rkdist", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        results.append((done.stdout, done.stderr, done.returncode))
+        assert results[-1] == run(argv)
+    (out, err, code), (bad_out, bad_err, bad_code) = results
+    assert code == 0 and out.startswith(b"1\n") and err == b""
+    assert bad_code == 2 and bad_out == b"" and bad_err.startswith(b"error:")

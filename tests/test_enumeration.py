@@ -1,5 +1,6 @@
 import functools
 import itertools
+from unittest import mock
 
 import pytest
 
@@ -7,7 +8,7 @@ from canon_oracle import oracle_canonical_text
 from enum_oracle import naive_enumerate
 from labelled_enum import build, labelled_enumerate
 from rkdist import InvalidProfile, canonical_form, core, counts, make_profile, validate_profile
-from rkdist import enumeration
+from rkdist import _format, enumeration
 from rkdist.catalog import get
 from rkdist.enumeration import InvalidTotal, _bounded_posets, enumerate_profiles
 from rkdist.io import parse
@@ -195,6 +196,11 @@ def test_candidates_keep_the_least_labelling_of_each_orbit(k):
             assert len(kept) == len(least) and set(kept) == least, (poset.down, n, budget)
 
 
+def _root(sizes, ils, down, up):
+    """The refined root that the library's walks start from."""
+    return core._root_cells(core._cell_keys(sizes, ils, down, up), down, up)
+
+
 def _poset(down):
     """The enumeration's record of a bounded poset given by its strictly-below masks,
     with the generators that the library's search records."""
@@ -202,7 +208,10 @@ def _poset(down):
     up = [sum(1 << b for b in range(k) if down[b] >> a & 1) for a in range(k)]
     below = [(a, b) for b in range(k) for a in range(k) if down[b] >> a & 1]
     covers = [(a, b) for a, b in below if not down[b] & up[a]]
-    search = core._leaf_certificates([1] * k, [0] * k, list(down), up, covers)
+    sizes, ils = [1] * k, [0] * k
+    search = core._leaf_certificates(
+        sizes, ils, list(down), up, covers, _root(sizes, ils, list(down), up)
+    )
     for _ in search:
         pass
     maximal = sum(1 << a for a, b in covers if b == k - 1)
@@ -256,13 +265,18 @@ def test_augmentation_does_not_depend_on_the_labelling(monkeypatch):
         return _poset((*down[:12], (1 << 12) - 1))
 
     generate = _bounded_posets.__wrapped__
+    uniform = [1] * 14, [0] * 14
     children = []
     for shift in (0, 1):
         parent = smaller(shift)
         monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: (parent,))
         children.append(
             [
-                min(core._leaf_certificates([1] * 14, [0] * 14, c.down, c.up, c.covers))
+                min(
+                    core._leaf_certificates(
+                        *uniform, c.down, c.up, c.covers, _root(*uniform, c.down, c.up)
+                    )
+                )
                 for c in generate(14)
             ]
         )
@@ -285,10 +299,98 @@ def test_candidate_documents_are_the_least_leaf_documents():
                 labellings, poset.generators, enumeration._labelling_image
             ):
                 structure = (sizes, ils, poset.down, poset.up, poset.covers)
-                document = core._document(core._least_certificate(*structure))
+                cert = core._least_certificate(*structure, poset.generators)
+                document = core._document(cert)
                 profile = build(sizes, poset.down, ils)
                 assert document == oracle_canonical_text(profile), (poset.down, sizes, ils)
                 assert canonical_form(profile).canonical_text == document
                 checked += 1
-                several += len(list(core._leaf_certificates(*structure))) > 1
+                seed = core._keeping_labels(poset.generators, sizes, ils)
+                several += len(_walk(structure, seed)[0]) > 1
     assert checked > 500 and several >= 3
+
+
+def _walk(structure, seed):
+    """The certificates that the library's walk yields, in order, and its leaf count."""
+    walk = core._leaf_certificates(*structure, _root(*structure[:4]), seed)
+    certificates = []
+    while True:
+        try:
+            certificates.append(next(walk))
+        except StopIteration as done:
+            return certificates, done.value
+
+
+def test_seeded_walks_find_every_certificate():
+    # Seeded with the poset's generators that keep the labelling, a walk finds the
+    # unseeded walk's certificates, the first leaf's first, at no more leaves.
+    non_rigid = [p for k in range(2, 9) for p in _bounded_posets(k) if p.generators]
+    walks = fewer = 0
+    for poset in [*non_rigid, _poset(_two_cycles_poset(0))]:
+        k = len(poset.down)
+        for n, budget in itertools.product((k, k + 1), (1, 2, 3)):
+            labellings = list(enumeration._labellings(n, k, budget))
+            for sizes, ils in enumeration._one_per_orbit(
+                labellings, poset.generators, enumeration._labelling_image
+            ):
+                structure = (sizes, ils, poset.down, poset.up, poset.covers)
+                seed = core._keeping_labels(poset.generators, sizes, ils)
+                seeded, seeded_leaves = _walk(structure, seed)
+                unseeded, leaves = _walk(structure, ())
+                assert seeded[0] == unseeded[0], (poset.down, sizes, ils)
+                assert set(seeded) == set(unseeded), (poset.down, sizes, ils)
+                assert seeded_leaves <= leaves, (poset.down, sizes, ils)
+                walks += 1
+                fewer += seeded_leaves < leaves
+    assert walks > 20000 and fewer > walks // 2
+
+
+def test_only_label_keeping_generators_seed_the_walk(monkeypatch):
+    # Four incomparable classes between a bottom and a top; each map swaps two of them.
+    down = [0, 1, 1, 1, 1, 31]
+    up = [30, 32, 32, 32, 32, 0]
+    covers = [(0, i) for i in range(1, 5)] + [(i, 5) for i in range(1, 5)]
+    swaps = [[0, 2, 1, 3, 4, 5], [0, 3, 2, 1, 4, 5], [0, 1, 2, 4, 3, 5]]
+    seeds = []
+
+    class Recorded(core._leaf_certificates):
+        def __init__(self, *structure):
+            seeds.append(structure[6])
+            super().__init__(*structure)
+
+    monkeypatch.setattr(core, "_leaf_certificates", Recorded)
+    # The second swap maps class 1 onto class 3, of another size; the third maps
+    # class 3 onto class 4, of another limit count.
+    sizes, ils = [1, 1, 1, 2, 2, 1], [0, 0, 0, 1, 2, 1]
+    cert = core._least_certificate(sizes, ils, down, up, covers, swaps)
+    assert seeds == [[swaps[0]]]
+    assert cert == min(_walk((sizes, ils, down, up, covers), ())[0])
+    # With equal limit counts on classes 3 and 4 the third swap keeps the labels.
+    seeds.clear()
+    core._least_certificate(sizes, [0, 0, 0, 1, 1, 1], down, up, covers, swaps)
+    assert seeds == [[swaps[0], swaps[2]]]
+
+
+def test_enumeration_seeds_its_walks(monkeypatch):
+    # The same profiles at fewer leaves than with unseeded walks.
+    leaves = []
+
+    class Counted(core._leaf_certificates):
+        def _leaves(self, *structure):
+            leaves[-1] += yield from super()._leaves(*structure)
+
+    monkeypatch.setattr(core, "_leaf_certificates", Counted)
+    leaves.append(0)
+    seeded = enumerate_profiles(8)
+    monkeypatch.setattr(core, "_keeping_labels", lambda *args: [])
+    leaves.append(0)
+    assert enumerate_profiles(8) == seeded
+    assert 0 < leaves[0] < leaves[1]
+
+
+def test_enumeration_writes_each_head_once():
+    # One head per class-size vector of the documents, in one call.
+    with mock.patch.object(_format, "head", wraps=_format.head) as head:
+        result = enumerate_profiles(8)
+    sizes = {tuple(core._class_structure(parse(p.canonical_text))[0]) for p in result.profiles}
+    assert head.call_count == len(sizes) < len(result.profiles)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from canon_oracle import position_document, sorting_document
 from rkdist import (
     InvalidProfile,
     UnknownVertex,
+    _format,
     cli,
     core,
     counts,
@@ -411,3 +414,30 @@ def test_certificate_document_meets_the_sorting_writer(cert, rng):
     sizes, ils, covers = cert
     shuffled = rng.sample(covers, len(covers))
     assert core._document(cert) == position_document(sizes, ils, shuffled)
+
+
+@st.composite
+def certificates_sharing_sizes(draw):
+    """One to four certificates on each of one to three size vectors, in any order."""
+    certs = []
+    for sizes, _, _ in draw(st.lists(certificates(), min_size=1, max_size=3)):
+        k = len(sizes)
+        position = st.integers(0, k - 1)
+        pairs = st.tuples(position, position).filter(lambda c: c[0] != c[1])
+        for _ in range(draw(st.integers(1, 4))):
+            ils = draw(st.lists(st.integers(0, 20), min_size=k, max_size=k))
+            covers = draw(st.lists(pairs, max_size=3 * k, unique=True))
+            certs.append((sizes, tuple(ils), tuple(sorted(covers))))
+    return draw(st.permutations(certs))
+
+
+@given(certificates_sharing_sizes())
+@settings(max_examples=50, deadline=None)
+def test_documents_through_one_heads_dict_meet_the_sorting_writer(certs):
+    heads = {}
+    with mock.patch.object(_format, "head", wraps=_format.head) as head:
+        for sizes, ils, covers in certs:
+            document = core._document((sizes, ils, covers), heads)
+            assert document == position_document(sizes, ils, covers)
+    assert set(heads) == {sizes for sizes, _, _ in certs}
+    assert head.call_count == len(heads)
