@@ -743,7 +743,7 @@ def _root_cells(
 
 
 def _certificate(
-    order: list[int], sizes: list[int], ils: list[int], covers: list[tuple[int, int]]
+    order: Sequence[int], sizes: list[int], ils: list[int], covers: list[tuple[int, int]]
 ) -> _Certificate:
     pos = [0] * len(order)
     for p, e in enumerate(order):

@@ -13,6 +13,16 @@ poset maps one onto the other.  So the candidates are the labellings least
 in their orbits, one per profile.  Each is checked for V1-V5 on its masks
 and written once, as the document of its least leaf certificate.
 
+A uniform candidate, one vertex per class and a limit count on the top
+alone, takes the poset's own least leaf order, which canonical
+augmentation found while it built the poset, with no refinement and no
+walk.  The top is the only class with k - 1 classes below it, so the
+candidate's initial cells, and their order, are the poset's own; every
+generator fixes the top, so every generator seeds the walk; and every
+leaf of one tree lists the root cells' members in the same cell order, so
+the top is last in each and leaf certificates differ only in their cover
+pairs, as in the poset's own walk.
+
 A candidate whose refined root is not discrete needs a walk of its search
 tree for that certificate.  The walk starts with the poset's generators
 under which the labelling is invariant: they are automorphisms of the
@@ -35,6 +45,7 @@ from .core import (
     _Heads,
     _bits,
     _cell_keys,
+    _certificate,
     _failed_conditions,
     _document,
     _in_explored_orbit,
@@ -49,7 +60,8 @@ DEFAULT_TOTAL_CAP = 12
 
 
 class InvalidTotal(ProfileError):
-    """The requested total is below 2 or above the configured cap."""
+    """The requested total is below 2 or above the configured cap, or the vertex cap is
+    neither None nor a nonnegative integer."""
 
 
 @dataclass(frozen=True)
@@ -68,14 +80,16 @@ _Item = TypeVar("_Item")
 class _Poset(NamedTuple):
     """A bounded poset on 0..k-1: element 0 is least, k-1 greatest, and the identity is a
     linear extension.  Its strictly-below and strictly-above masks, its cover pairs, the
-    mask of the elements that the top covers, and generators of its automorphism group
-    as element maps."""
+    mask of the elements that the top covers, generators of its automorphism group as
+    element maps, and ``order``, the leaf order of its least leaf certificate with every
+    element unlabelled."""
 
     down: tuple[int, ...]
     up: list[int]
     covers: list[tuple[int, int]]
     maximal: int
     generators: list[list[int]]
+    order: tuple[int, ...]
 
 
 def _one_per_orbit(
@@ -132,14 +146,14 @@ def _bounded_posets(k: int) -> tuple[_Poset, ...]:
     An isomorphism between two kept children can then be chosen to map x
     to x, and it restricts to an automorphism of their one parent that maps
     one ideal onto the other.  A search runs only where the root is not
-    discrete, which means the poset is not rigid, and its generators are
-    kept.  Each child takes its up-sets, covers and top-covered elements
-    from its parent.
+    discrete, which means the poset is not rigid, and its generators and
+    least leaf order are kept.  Each child takes its up-sets, covers and
+    top-covered elements from its parent.
     """
     if k == 1:
-        return (_Poset((0,), [0], [], 0, []),)
+        return (_Poset((0,), [0], [], 0, [], (0,)),)
     if k == 2:
-        return (_Poset((0, 1), [2, 0], [(0, 1)], 1, []),)
+        return (_Poset((0, 1), [2, 0], [(0, 1)], 1, [], (0, 1)),)
     x, top = k - 2, k - 1
     x_bit, top_bit = 1 << x, 1 << top
     uniform_sizes, uniform_ils = [1] * k, [0] * k
@@ -170,17 +184,18 @@ def _bounded_posets(k: int) -> tuple[_Poset, ...]:
             covers += [(i, x) for i in _bits(d) if not up[i] & d]
             covers += [(i, top) for i in _bits(maximal)]
             generators: list[list[int]] = []
+            order = [c[0] for c in cells]
             if len(cells) < k:
                 search = _leaf_certificates(uniform_sizes, uniform_ils, down, up, covers, cells)
                 for _ in search:
                     pass
+                order = search.least_order()
                 if len(cell) > 1:
-                    order = search.least_order()
                     first = min(cell, key=order.index)
                     if x != first and not _in_explored_orbit(x, [first], search.generators):
                         continue
                 generators = search.generators
-            posets.append(_Poset(down, up, covers, maximal, generators))
+            posets.append(_Poset(down, up, covers, maximal, generators, tuple(order)))
     return tuple(posets)
 
 
@@ -219,6 +234,10 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
         raise InvalidTotal(f"total must be an integer >= 2, got {total!r}")
     if total > DEFAULT_TOTAL_CAP:
         raise InvalidTotal(f"total {total} exceeds the cap {DEFAULT_TOTAL_CAP}")
+    if max_vertices is not None and (
+        not isinstance(max_vertices, int) or isinstance(max_vertices, bool) or max_vertices < 0
+    ):
+        raise InvalidTotal(f"max_vertices must be None or an integer >= 0, got {max_vertices!r}")
     nmax = total if max_vertices is None else min(total, max_vertices)
     documents = []
     heads: _Heads = {}
@@ -235,6 +254,10 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
                     failed = _failed_conditions(sizes, ils, down, up)
                     if failed:
                         raise InvalidProfile("profile fails " + ", ".join(failed))
-                    cert = _least_certificate(sizes, ils, down, up, covers, poset.generators)
+                    # A uniform candidate's search tree is the poset's own.
+                    if n == k and not any(ils[:-1]):
+                        cert = _certificate(poset.order, sizes, ils, covers)
+                    else:
+                        cert = _least_certificate(sizes, ils, down, up, covers, poset.generators)
                     documents.append(_document(cert, heads))
     return EnumerationResult(total, tuple(CanonicalProfile(d) for d in sorted(set(documents))))

@@ -68,9 +68,9 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     """Coordinatewise product; class (X, Y) gets limit count Xl*|Y| + |X|*Yl + Xl*Yl."""
     names = _product_names(a, b)
     ia, ib = a.order._classes, b.order._classes
-    w, kb = len(b.order.names), len(ib.masks)
+    kb = len(ib.masks)
     # Class (X, Y) sits at X*kb + Y, the order of its least member (least X, least Y)
-    # when pair (i, j) sits at i*w + j.
+    # when pair (i, j) sits at i*w + j, w the number of b's vertices.
     ils = [
         xl * y.bit_count() + (x.bit_count() + xl) * yl
         for x, xl in zip(ia.masks, a.limit_counts)
@@ -82,23 +82,12 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
         cx << y | cy << x * kb for x, cx in enumerate(covers_a) for y, cy in enumerate(ib.covers)
     )
     position = tuple(x * kb + y for x in ia.position for y in ib.position)
+    # A factor name with "*" can break pair order; the vertices go by name.
     pair = sorted(range(len(names)), key=names.__getitem__)
-    if pair != list(range(len(names))):
-        # A factor name with "*" can break pair order: renumber the vertices by name.
-        index, moved = _renumbered(position, covers, pair)
-        return _profile(
-            _closed_preorder([names[v] for v in pair], index), tuple(ils[c] for c in moved)
-        )
-    # The members of (X, Y) and the classes around it are products of X's and Y's.
-    members = [_spread(m, w) for m in ia.masks]
-    index = _ClassIndex(
-        tuple(x * y for x in members for y in ib.masks),
-        position,
-        _product_masks(ia.down, ib.down, kb),
-        _product_masks(ia.up, ib.up, kb),
-        covers,
+    index, moved = _renumbered(position, covers, pair)
+    return _profile(
+        _closed_preorder([names[v] for v in pair], index), tuple(ils[c] for c in moved)
     )
-    return _profile(_closed_preorder(names, index), tuple(ils))
 
 
 def _renumbered(
@@ -110,20 +99,20 @@ def _renumbered(
     Classes go by least member again.  Along a linear extension of the
     covers, from the bottom, each class passes its strict down-set on to
     the classes that cover it; from the top, it takes its strict up-set
-    from them.
+    and its cover mask from them.
     """
     k = len(covers)
     new = [-1] * k
     old: list[int] = []
     renumbered = []
-    for v in order:
-        c = position[v]
-        if new[c] < 0:
-            new[c] = len(old)
-            old.append(c)
-        renumbered.append(new[c])
     masks = [0] * k
-    for r, q in enumerate(renumbered):
+    for r, v in enumerate(order):
+        c = position[v]
+        q = new[c]
+        if q < 0:
+            q = new[c] = len(old)
+            old.append(c)
+        renumbered.append(q)
         masks[q] |= 1 << r
     upper = [[new[d] for d in _bits(covers[c])] for c in old]
     lower = [0] * k
@@ -142,40 +131,21 @@ def _renumbered(
         for d in upper[q]:
             down[d] |= below
     up = [0] * k
+    cover = [0] * k
     for q in reversed(extension):
-        above = 0
+        above = cq = 0
         for d in upper[q]:
-            above |= up[d] | 1 << d
-        up[q] = above
-    index = _ClassIndex(
-        tuple(masks),
-        tuple(renumbered),
-        tuple(down),
-        tuple(up),
-        tuple(sum(1 << d for d in ds) for ds in upper),
-    )
+            above |= up[d]
+            cq |= 1 << d
+        up[q] = above | cq
+        cover[q] = cq
+    index = _ClassIndex(tuple(masks), tuple(renumbered), tuple(down), tuple(up), tuple(cover))
     return index, old
 
 
 def _spread(mask: int, width: int) -> int:
     """The mask with bit i moved to bit i*width."""
     return int(("0" * (width - 1)).join(format(mask, "b")), 2)
-
-
-def _product_masks(
-    strict_a: Sequence[int], strict_b: Sequence[int], kb: int
-) -> tuple[int, ...]:
-    """Strictly-below (or above) masks of the product's classes from the factors' ones.
-
-    (X', Y') is at or below (X, Y) iff X' is at or below X and Y' at or below Y.
-    """
-    reflexive_b = _reflexive(strict_b)
-    masks = []
-    for x, m in enumerate(_reflexive(strict_a)):
-        spread = _spread(m, kb)
-        for y, n in enumerate(reflexive_b):
-            masks.append(spread * n ^ 1 << (x * kb + y))
-    return tuple(masks)
 
 
 def _product_names(a: RkProfile, b: RkProfile) -> list[str]:

@@ -52,6 +52,12 @@ def test_invalid_totals(total):
         enumerate_profiles(total)
 
 
+@pytest.mark.parametrize("max_vertices", [2.5, "3", True, False, -1])
+def test_invalid_vertex_caps(max_vertices):
+    with pytest.raises(InvalidTotal, match="max_vertices"):
+        enumerate_profiles(5, max_vertices)
+
+
 def test_total_above_cap(monkeypatch):
     with pytest.raises(InvalidTotal):
         enumerate_profiles(13)
@@ -203,7 +209,7 @@ def _root(sizes, ils, down, up):
 
 def _poset(down):
     """The enumeration's record of a bounded poset given by its strictly-below masks,
-    with the generators that the library's search records."""
+    with the generators and the least leaf order that the library's search records."""
     k = len(down)
     up = [sum(1 << b for b in range(k) if down[b] >> a & 1) for a in range(k)]
     below = [(a, b) for b in range(k) for a in range(k) if down[b] >> a & 1]
@@ -215,7 +221,9 @@ def _poset(down):
     for _ in search:
         pass
     maximal = sum(1 << a for a, b in covers if b == k - 1)
-    return enumeration._Poset(tuple(down), up, covers, maximal, search.generators)
+    return enumeration._Poset(
+        tuple(down), up, covers, maximal, search.generators, tuple(search.least_order())
+    )
 
 
 def test_inadmissible_candidate_raises(monkeypatch):
@@ -394,3 +402,49 @@ def test_enumeration_writes_each_head_once():
         result = enumerate_profiles(8)
     sizes = {tuple(core._class_structure(parse(p.canonical_text))[0]) for p in result.profiles}
     assert head.call_count == len(sizes) < len(result.profiles)
+
+
+def _assert_uniform_certificates(poset, oracle):
+    """One vertex per class and a limit count on the top alone: the certificate read off
+    the poset's least leaf order is the one that the unseeded walk finds."""
+    n = len(poset.down)
+    for top in (1, 2, 3):
+        sizes, ils = [1] * n, [0] * (n - 1) + [top]
+        structure = (sizes, ils, poset.down, poset.up, poset.covers)
+        cert = core._certificate(poset.order, sizes, ils, poset.covers)
+        assert cert == core._least_certificate(*structure), (poset.down, top)
+        if oracle:
+            document = oracle_canonical_text(build(sizes, poset.down, ils))
+            assert core._document(cert) == document, (poset.down, top)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_uniform_candidates_take_the_posets_least_order(k):
+    for poset in _bounded_posets(k):
+        _assert_uniform_certificates(poset, oracle=k <= 6)
+
+
+def test_two_certificate_walk_takes_the_posets_least_order():
+    # The two-cycles poset's uniform walks yield two certificates, so its least leaf
+    # order is not its first leaf's.
+    poset = _poset(_two_cycles_poset(0))
+    n = len(poset.down)
+    structure = ([1] * n, [0] * (n - 1) + [1], poset.down, poset.up, poset.covers)
+    certificates = _walk(structure, poset.generators)[0]
+    assert len(_walk(structure, ())[0]) == len(certificates) == 2
+    assert min(certificates) != certificates[0]
+    _assert_uniform_certificates(poset, oracle=False)
+
+
+def test_uniform_candidates_skip_the_walk():
+    with mock.patch.object(
+        enumeration, "_least_certificate", wraps=core._least_certificate
+    ) as least:
+        result = enumerate_profiles(8)
+    assert result == _labelled(8)
+    uniform = [
+        sizes
+        for (sizes, ils, *_), _ in least.call_args_list
+        if set(sizes) == {1} and not any(ils[:-1])
+    ]
+    assert least.call_count > 0 and uniform == []
