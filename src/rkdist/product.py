@@ -138,7 +138,8 @@ def _renumbered(
             above |= up[d]
             cq |= 1 << d
         up[q] = above | cq
-        cover[q] = cq
+        # Where the renumbering moves nothing, keep the given mask, not a copy.
+        cover[q] = c if (c := covers[old[q]]) == cq else cq
     index = _ClassIndex(tuple(masks), tuple(renumbered), tuple(down), tuple(up), tuple(cover))
     return index, old
 
@@ -266,13 +267,35 @@ def is_lattice(q: QuotientPoset) -> bool:
 
     A finite poset with a greatest class is a lattice once every pair has a
     meet: the join of x and y is the meet of their common upper bounds, of
-    which the greatest class is one.
+    which the greatest class is one.  And every pair has a meet once every
+    two lower covers of one class do.  By induction on the height of a
+    common upper bound w of x and y (x, y < w), take x <= x' and y <= y',
+    both covered by w.  If x' = y', it is a common upper bound below w.
+    Otherwise m = meet(x', y') exists, and meet(x, y) is
+    meet(meet(x, m), meet(y, m)), where each of the three meets has a
+    common upper bound strictly below w.  So the meet, the class whose
+    down-set is the intersection of the two down-sets, is tested only for
+    pairs of lower covers of one class.
+
+    In a lattice two classes share at most one upper cover, their join, so
+    the pairs of lower covers number at most the pairs of classes; a poset
+    with more is not a lattice, and the test never makes more meet checks
+    than testing all pairs does.
     """
     if q.greatest() is None:
         return False
+    lower: list[list[int]] = [[] for _ in q.upper_covers]
+    for c, m in enumerate(q.upper_covers):
+        for d in _bits(m):
+            lower[d].append(c)
+    k = len(lower)
+    if sum(len(cs) * (len(cs) - 1) for cs in lower) > k * (k - 1):
+        return False
     down = _reflexive(q.down)
     at = set(down)
-    return all(a & b in at for i, a in enumerate(down) for b in down[i + 1 :])
+    return all(
+        down[a] & down[b] in at for cs in lower for i, a in enumerate(cs) for b in cs[i + 1 :]
+    )
 
 
 def is_boolean_lattice(q: QuotientPoset) -> bool:

@@ -501,6 +501,16 @@ def test_product_over_the_vertex_limit_exits_2(tmp_path, monkeypatch, command):
     assert built == []
 
 
+def test_check_lattice_on_6000_classes(tmp_path):
+    # the product of chains of 60 and 100 vertices: a grid lattice, not Boolean
+    path = tmp_path / "grid.rkp"
+    path.write_bytes(
+        serialize(product.pareto_product(chain_profile([0] + [1] * 59), chain_profile([0] + [1] * 99)))
+    )
+    assert run(["check", str(path), "--lattice"]) == (b"true\n", b"", 0)
+    assert run(["check", str(path), "--boolean"]) == (b"false\n", b"", 1)
+
+
 def test_python_m_rkdist_runs_the_command_line():
     src = str(Path(rkdist.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -210,6 +210,45 @@ def test_lattice_preservation_with_non_lattice_factor():
     assert not is_lattice(quotient(product))
 
 
+def _bounded(inner, pairs):
+    """Singleton classes: a bottom, the inner classes under these pairs, and a top."""
+    names = ["bot", *inner, "top"]
+    rel = [("bot", v) for v in inner] + [(v, "top") for v in inner] + list(pairs)
+    return make_profile(names, rel, {v: int(v != "bot") for v in names})
+
+
+def test_meetless_pair_with_no_common_upper_cover():
+    # x and y lie over the atoms a and b and have no meet, but only the top
+    # is above both; the meet test sees them through its lower covers xx, yy.
+    pairs = [("a", "x"), ("b", "x"), ("a", "y"), ("b", "y"), ("x", "xx"), ("y", "yy")]
+    q = quotient(_bounded(["a", "b", "x", "y", "xx", "yy"], pairs))
+    assert lattice_tables(q) is None
+    assert not is_lattice(q)
+    # with a class m between the atoms and x, y, the meet of x and y is m
+    pairs = [("a", "m"), ("b", "m"), ("m", "x"), ("m", "y"), ("x", "xx"), ("y", "yy")]
+    q = quotient(_bounded(["a", "b", "m", "x", "y", "xx", "yy"], pairs))
+    assert lattice_tables(q) is not None
+    assert is_lattice(q)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_complete_bipartite_layers(m, monkeypatch):
+    low, high = [f"a{i}" for i in range(m)], [f"b{i}" for i in range(m)]
+    q = quotient(_bounded(low + high, [(a, b) for a in low for b in high]))
+    assert is_lattice(q) == (lattice_tables(q) is not None) == (m == 1)
+    lower = [0] * len(q.classes)
+    for mask in q.upper_covers:
+        for c in core._bits(mask):
+            lower[c] += 1
+    k = len(q.classes)
+    crowded = sum(d * (d - 1) for d in lower) > k * (k - 1)
+    assert crowded == (m >= 6)
+    if crowded:
+        # more pairs of lower covers than pairs of classes: no meet is tested
+        monkeypatch.setattr(product, "_reflexive", None)
+        assert not is_lattice(q)
+
+
 def test_is_boolean_lattice_cube_true():
     cube = product_many([get("fig1a"), get("fig1b.1"), get("fig2.1")])
     q = quotient(cube)

@@ -44,8 +44,8 @@ FLAG_RANK = {"none": 0, "weak": 1, "strict": 2}
 
 
 @st.composite
-def admissible_profiles(draw):
-    k = draw(st.integers(min_value=1, max_value=4))
+def admissible_profiles(draw, max_classes=4, max_size=3):
+    k = draw(st.integers(min_value=1, max_value=max_classes))
     if k == 1:
         return make_profile(["r"], [], {"r": 0})
     rel = set()
@@ -53,7 +53,7 @@ def admissible_profiles(draw):
         for j in range(i + 1, k - 1):
             if draw(st.booleans()):
                 rel.add((i, j))
-    sizes = [1] + [draw(st.integers(1, 3)) for _ in range(k - 1)]
+    sizes = [1] + [draw(st.integers(1, max_size)) for _ in range(k - 1)]
     ils = [0]
     for i in range(1, k):
         floor = 1 if sizes[i] > 1 or i == k - 1 else 0
@@ -420,6 +420,29 @@ def test_mask_conditions_agree_with_validation_report(profile):
 )
 @settings(max_examples=150, deadline=None)
 def test_lattice_checks_agree_with_all_pairs_definition(profile):
+    q = quotient(profile)
+    tables = _oracle_lattice_tables(q)
+    assert is_lattice(q) == (tables is not None)
+    if tables is None:
+        with pytest.raises(NotALattice):
+            is_boolean_lattice(q)
+    else:
+        assert is_boolean_lattice(q) == _oracle_is_boolean(q, *tables)
+
+
+# A bottom, up to ten inner classes under random relations, and a top: tall enough
+# that a meetless pair can sit below the lower covers that is_lattice tests.
+_BOUNDED_POSETS = admissible_profiles(max_classes=12, max_size=1)
+
+
+@given(
+    st.one_of(
+        _BOUNDED_POSETS,
+        st.lists(_BOUNDED_POSETS, min_size=2, max_size=2).map(product_many),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_lattice_checks_agree_with_all_pairs_on_bounded_posets(profile):
     q = quotient(profile)
     tables = _oracle_lattice_tables(q)
     assert is_lattice(q) == (tables is not None)
