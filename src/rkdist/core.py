@@ -364,26 +364,6 @@ def _checked_counts(
     return tuple(counts)
 
 
-def _label_classes(
-    order: Preorder, labels: Sequence[str]
-) -> tuple[list[int | None], int | None, str | None]:
-    """Match limit-count labels on vertices to the order's class positions.
-
-    Returns the class position of each label (None if undeclared), the index
-    of the first label that is undeclared or whose class an earlier label
-    took, and otherwise the representative of the first class that no label
-    takes.
-    """
-    class_of = dict(zip(order.names, order._classes.position))
-    positions = [class_of.get(v) for v in labels]
-    labelled = 0
-    for i, p in enumerate(positions):
-        if p is None or labelled >> p & 1:
-            return positions, i, None
-        labelled |= 1 << p
-    return positions, None, next((v for v, p in class_of.items() if not labelled >> p & 1), None)
-
-
 def make_profile(
     vertices: Iterable[str],
     generating_pairs: Iterable[tuple[str, str]],
@@ -391,13 +371,19 @@ def make_profile(
 ) -> RkProfile:
     """Close the relation and attach limit counts, each class named exactly once."""
     order = close_preorder(vertices, generating_pairs)
-    names = list(il_by_vertex)
-    positions, fault, missing = _label_classes(order, names)
-    if fault is not None:
-        if positions[fault] is None:
-            raise UnknownVertex(f"limit count references undeclared vertex {names[fault]!r}")
-        raise ValueError(f"class of {names[fault]!r} was given two limit counts")
-    if missing is not None:
+    class_of = dict(zip(order.names, order._classes.position))
+    labelled = [False] * len(order._classes.masks)
+    positions = []
+    for v in il_by_vertex:
+        p = class_of.get(v)
+        if p is None:
+            raise UnknownVertex(f"limit count references undeclared vertex {v!r}")
+        if labelled[p]:
+            raise ValueError(f"class of {v!r} was given two limit counts")
+        labelled[p] = True
+        positions.append(p)
+    if False in labelled:
+        missing = order.names[_least(order._classes.masks[labelled.index(False)])]
         raise ValueError(f"class of {missing!r} has no limit count")
     return _profile(order, _checked_counts(order, positions, il_by_vertex.values()))
 

@@ -200,10 +200,7 @@ def _bounded_posets(k: int) -> tuple[_Poset, ...]:
 
 
 def _compositions_nonneg(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
+    """The tuples of slots >= 1 nonnegative integers that sum to total, in lexicographic order."""
     if slots == 1:
         yield (total,)
         return

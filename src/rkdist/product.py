@@ -77,10 +77,12 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
         for y, yl in zip(ib.masks, b.limit_counts)
     ]
     # (X, Y) is covered by (X', Y) for X' covering X and (X, Y') for Y' covering Y.
-    covers_a = [_spread(m, kb) for m in ia.covers]
-    covers = tuple(
-        cx << y | cy << x * kb for x, cx in enumerate(covers_a) for y, cy in enumerate(ib.covers)
-    )
+    covers_b = [list(_bits(m)) for m in ib.covers]
+    covers = []
+    for x, cx in enumerate(ia.covers):
+        above = [d * kb for d in _bits(cx)]
+        for y, cy in enumerate(covers_b):
+            covers.append([d + y for d in above] + [x * kb + d for d in cy])
     position = tuple(x * kb + y for x in ia.position for y in ib.position)
     # A factor name with "*" can break pair order; the vertices go by name.
     pair = sorted(range(len(names)), key=names.__getitem__)
@@ -91,15 +93,16 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
 
 
 def _renumbered(
-    position: Sequence[int], covers: Sequence[int], order: Sequence[int]
+    position: Sequence[int], covers: Sequence[Sequence[int]], order: Sequence[int]
 ) -> tuple[_ClassIndex, list[int]]:
     """The class index of vertex classes and their upper covers, with vertex order[r]
     renumbered r; and each new class's old position.
 
-    Classes go by least member again.  Along a linear extension of the
-    covers, from the bottom, each class passes its strict down-set on to
-    the classes that cover it; from the top, it takes its strict up-set
-    and its cover mask from them.
+    Vertex v is in class position[v], and covers[c] lists the classes that
+    cover class c, all by old position.  Classes go by least member again.
+    Along a linear extension of the covers, from the bottom, each class
+    passes its strict down-set on to the classes that cover it; from the
+    top, it takes its strict up-set from them and builds its cover mask.
     """
     k = len(covers)
     new = [-1] * k
@@ -114,7 +117,7 @@ def _renumbered(
             old.append(c)
         renumbered.append(q)
         masks[q] |= 1 << r
-    upper = [[new[d] for d in _bits(covers[c])] for c in old]
+    upper = [[new[d] for d in covers[c]] for c in old]
     lower = [0] * k
     for ds in upper:
         for d in ds:
@@ -138,15 +141,9 @@ def _renumbered(
             above |= up[d]
             cq |= 1 << d
         up[q] = above | cq
-        # Where the renumbering moves nothing, keep the given mask, not a copy.
-        cover[q] = c if (c := covers[old[q]]) == cq else cq
+        cover[q] = cq
     index = _ClassIndex(tuple(masks), tuple(renumbered), tuple(down), tuple(up), tuple(cover))
     return index, old
-
-
-def _spread(mask: int, width: int) -> int:
-    """The mask with bit i moved to bit i*width."""
-    return int(("0" * (width - 1)).join(format(mask, "b")), 2)
 
 
 def _product_names(a: RkProfile, b: RkProfile) -> list[str]:

@@ -3,8 +3,9 @@
 The goldens pin only total 4, and the labelled-route tests compare the
 enumerator with the library's own ``canonical_form``, so a writer change
 that altered bytes on both sides would pass them.  These digests were taken
-before the document writer stopped sorting its input; any change to the
-bytes of a document, canonical or serialized, fails here.
+before the document writer stopped sorting its input, and the starred
+products' digest before ``pareto_product`` stopped building cover masks;
+any change to the bytes of a document, canonical or serialized, fails here.
 
     PYTHONPATH=src python tests/test_byte_identity.py   # print the digests
 """
@@ -13,7 +14,7 @@ import hashlib
 
 import pytest
 
-from rkdist import canonical_form, pareto_product, serialize
+from rkdist import canonical_form, make_profile, pareto_product, serialize
 from rkdist.catalog import BASE_NAMES, get
 from rkdist.cli import run
 
@@ -29,11 +30,30 @@ ENUMERATE_DIGESTS = {
     6: "4551bd326f892b52d16293eac20a5e19f9fa35a4412724e9d84ce87e9764ba18",
 }
 
-# serialize then canonical_form of each base entry, and of each ordered pair's product.
+# serialize then canonical_form of each base entry, of each ordered pair's
+# product, and of each base entry times each starred factor, in both orders.
 CATALOG_DIGESTS = {
     "base": "f3dbb72ee87a10a5e99dd60b33562e317e22bcf6e5827c976d7f3b35128d1e77",
     "products": "fc31082e6971f1fb141ea2a62aac341bf3f708026c728714ced892e673cd5aca",
+    "starred": "9b40bc5f1bc00d7e07556c69e467049ba9efb3c3e80eb9166f1746612784cb37",
 }
+
+# Factors whose names break pair order on the left of a product: "s*0*a"
+# sorts before "s*a", so the product renumbers all of its classes or, for
+# the first, all but one.
+STARRED = (
+    make_profile(
+        ["b", "b*a", "b*a*a", "b*a*a*a"],
+        [("b", "b*a"), ("b*a", "b*a*a"), ("b*a*a", "b*a"), ("b*a*a", "b*a*a*a")],
+        {"b": 0, "b*a": 1, "b*a*a*a": 1},
+    ),
+    make_profile(
+        ["s", "s*0", "s*1", "s*2", "s*3"],
+        [("s", "s*0"), ("s*0", "s*1"), ("s*1", "s*0"), ("s", "s*2")]
+        + [("s*0", "s*3"), ("s*2", "s*3")],
+        {"s": 0, "s*0": 1, "s*2": 0, "s*3": 1},
+    ),
+)
 
 
 def enumerate_digest(max_vertices):
@@ -50,7 +70,13 @@ def enumerate_digest(max_vertices):
 
 def catalog_digest(kind):
     base = [get(name) for name in BASE_NAMES]
-    profiles = base if kind == "base" else [pareto_product(a, b) for a in base for b in base]
+    if kind == "base":
+        profiles = base
+    elif kind == "products":
+        profiles = [pareto_product(a, b) for a in base for b in base]
+    else:
+        pairs = [(s, b) for s in STARRED for b in base]
+        profiles = [p for s, b in pairs for p in (pareto_product(s, b), pareto_product(b, s))]
     h = hashlib.sha256()
     for profile in profiles:
         h.update(serialize(profile))

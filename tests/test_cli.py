@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import rkdist
-from rkdist import core, product
+from rkdist import core, make_profile, product
 from rkdist.catalog import chain_profile, get
 from rkdist.cli import ORACLE_BUDGET, run
 from rkdist.core import MAX_VERTICES
@@ -191,6 +191,21 @@ def test_check_lattice_and_boolean(files):
     run(["product", files["fig1a"], files["fig1b.1"], "-o", target])
     out, err, code = run(["check", target, "--boolean"])
     assert (code, out) == (0, b"true\n")
+    # A bottom, two classes below two others, and a top: b and c have no join.
+    names = ["a", "b", "c", "d", "e", "f"]
+    pairs = [("a", "b"), ("a", "c"), ("b", "d"), ("b", "e"), ("c", "d"), ("c", "e")]
+    pairs += [("d", "f"), ("e", "f")]
+    bowtie = files["tmp"] / "bowtie.rkp"
+    bowtie.write_bytes(serialize(make_profile(names, pairs, {v: int(v == "f") for v in names})))
+    assert run(["check", str(bowtie), "--lattice"]) == (b"false\n", b"", 1)
+    assert run(["check", str(bowtie), "--boolean"]) == (b"false\n", b"not a lattice\n", 1)
+
+
+def test_product_into_a_directory_exits_2(files):
+    target = str(files["tmp"])
+    out, err, code = run(["product", files["fig1a"], files["fig1b.1"], "-o", target])
+    assert (out, code) == (b"", 2)
+    assert err.startswith(f"error: cannot write {target}: ".encode())
 
 
 def test_check_monotone_always_exits_0(files):

@@ -74,6 +74,41 @@ def test_make_profile_errors():
         make_profile({"a", "b"}, [("a", "b")], {"a": 0})
 
 
+@pytest.mark.parametrize(
+    "labels, kind, message",
+    [
+        # The first faulty label wins, an undeclared one or a class's second.
+        ({"z": 0, "a": 0, "b": 1}, UnknownVertex, "limit count references undeclared vertex 'z'"),
+        ({"a": 0, "b": 1, "c": 1, "z": 0}, ValueError, "class of 'c' was given two limit counts"),
+        ({"a": 0, "c": 1, "b": 1, "z": 0}, ValueError, "class of 'b' was given two limit counts"),
+        ({"a": 0, "z": 0, "c": 1}, UnknownVertex, "limit count references undeclared vertex 'z'"),
+        # A fault wins over a class without a label.
+        ({"y": 0}, UnknownVertex, "limit count references undeclared vertex 'y'"),
+        ({"d": 1, "c": 1}, ValueError, "class of 'c' was given two limit counts"),
+        # Otherwise the least member of the lowest class without a label is named.
+        ({"d": 1}, ValueError, "class of 'a' has no limit count"),
+        ({"a": 0, "e": 1}, ValueError, "class of 'b' has no limit count"),
+        ({"e": 1, "a": 0}, ValueError, "class of 'b' has no limit count"),
+    ],
+)
+def test_make_profile_error_messages(labels, kind, message):
+    # Classes {a} < {b, c, d} < {e}.
+    pairs = [("a", "d"), ("d", "b"), ("b", "c"), ("c", "d"), ("c", "e")]
+    with pytest.raises((UnknownVertex, ValueError)) as info:
+        make_profile({"a", "b", "c", "d", "e"}, pairs, labels)
+    assert (info.type, str(info.value)) == (kind, message)
+
+
+def test_il_of_undeclared_vertex():
+    with pytest.raises(UnknownVertex):
+        get("fig1a").il_of("z")
+
+
+def test_unknown_condition_code():
+    with pytest.raises(KeyError):
+        validate_profile(get("fig1a")).condition("V7")
+
+
 def test_quotient_two_singleton_classes():
     q = quotient(get("fig1a"))
     assert [(c.representative, c.size, c.limit_count) for c in q.classes] == [
