@@ -82,10 +82,12 @@ def _successor_lists(
     vertices: Iterable[str], pairs: Iterable[tuple[str, str]]
 ) -> tuple[tuple[str, ...], list[list[int]]]:
     """Sort the vertices and list, per vertex, the vertices that the pairs put above it."""
+    # Checked before sorting, which would raise TypeError on names of mixed types;
+    # the least bad name by str is named, whatever the order of the vertices.
+    bad = [v for v in vertices if not isinstance(v, str) or not NAME_RE.match(v)]
+    if bad:
+        raise ValueError(f"bad vertex name {min(bad, key=str)!r}")
     names = sorted(vertices)
-    for v in names:
-        if not isinstance(v, str) or not NAME_RE.match(v):
-            raise ValueError(f"bad vertex name {v!r}")
     index = {v: i for i, v in enumerate(names)}
     succ: list[list[int]] = [[] for _ in names]
     for a, b in pairs:
@@ -110,12 +112,12 @@ class _ClassIndex(NamedTuple):
     covers: tuple[int, ...]
 
 
-def _components(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int], list[list[int]]]:
+def _components(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
     """Strongly connected components of the digraph of the successor lists, sinks first.
 
     Tarjan's walk, with an explicit stack, so no input is too deep for it.
-    Returns each vertex's component, each component's member mask, and each
-    component's successor components (possibly repeated), all found before it.
+    Returns each vertex's component and each component's successor
+    components (possibly repeated), all found before it.
     """
     n = len(succ)
     number = [0] * n  # DFS number from 1; 0 while unvisited
@@ -124,7 +126,6 @@ def _components(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int], li
     out: list[list[int]] = [[] for _ in range(n)]  # per vertex, found classes it points to
     pending = [iter(s) for s in succ]  # per vertex, the successors not yet looked at
     stack: list[int] = []
-    members: list[int] = []
     successors: list[list[int]] = []  # per class, its successor classes (maybe repeated)
     counter = 0
     for root in range(n):
@@ -154,17 +155,14 @@ def _components(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int], li
                 continue
             path.pop()
             if low[v] == number[v]:
-                c = len(members)
-                m = 0
+                c = len(successors)
                 after: list[int] = []
                 while True:
                     x = stack.pop()
                     comp[x] = c
-                    m |= 1 << x
                     after += out[x]
                     if x == v:
                         break
-                members.append(m)
                 successors.append(after)
             if path:
                 u = path[-1]
@@ -173,49 +171,67 @@ def _components(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[int], li
                         low[u] = low[v]
                 else:
                     out[u].append(comp[v])
-    return comp, members, successors
+    return comp, successors
 
 
-def _closure_index(succ: Sequence[Sequence[int]]) -> _ClassIndex:
-    """Class index of the reflexive-transitive closure of the successor lists.
+def _class_index(
+    comp: Sequence[int], successors: Sequence[Sequence[int]], sinks_first: Sequence[int]
+) -> tuple[_ClassIndex, list[int]]:
+    """The class index of a DAG of vertex classes, and each new class position's old id.
 
-    The classes are the strongly connected components.  The closure is taken
-    over the condensed graph, as in Nuutila's algorithm: up-sets sinks first,
-    down-sets sources first, with one OR per successor class rather than one
-    step per comparable pair.  Every cover is an edge of the condensed graph
-    (Aho, Garey and Ullman, 1972): a class's covers are its successor classes
-    that lie above none of the others.  Nothing depends on the order of the
-    lists: positions come from least members, and the rest from ORs.
+    Vertex v is in class comp[v]; successors[c] lists the classes above
+    class c, maybe repeated or not covering it, but with every class that
+    covers it; sinks_first lists every class after all the classes above
+    it; all by old id, in any numbering.  Positions go by least member.  The
+    closure is taken over the DAG, as in Nuutila's algorithm: up-sets sinks
+    first, down-sets sources first, with one OR per successor class rather
+    than one step per comparable pair.  A class's covers are its successor
+    classes that lie above none of the others.  Nothing else depends on the
+    old numbering or on the order of the lists.
     """
-    comp, members, successors = _components(succ)
-    # Positions by least member: a class is first met at its least member.
-    k = len(members)
+    k = len(successors)
     pos = [-1] * k
-    p = 0
-    for c in comp:
-        if pos[c] < 0:
-            pos[c] = p
-            p += 1
-    masks = [0] * k
+    old: list[int] = []
+    masks: list[int] = []
+    position = []
+    for v, c in enumerate(comp):  # a class is first met at its least member
+        q = pos[c]
+        if q < 0:
+            q = pos[c] = len(old)
+            old.append(c)
+            masks.append(0)
+        masks[q] |= 1 << v
+        position.append(q)
     up = [0] * k  # strictly above
     covers = [0] * k
-    for c in range(k):  # sinks first: successor classes are done
+    for c in sinks_first:  # successor classes are done
         direct = above = 0
         for d in successors[c]:
             q = pos[d]
             direct |= 1 << q
             above |= up[q]
         q = pos[c]
-        masks[q], up[q], covers[q] = members[c], direct | above, direct & ~above
+        # not direct & ~above, whose complement is as long as the up-set, per class
+        up[q], covers[q] = direct | above, direct ^ (direct & above)
     down = [0] * k  # strictly below
-    for c in range(k - 1, -1, -1):  # sources first: predecessor classes are done
+    for c in reversed(sinks_first):  # predecessor classes are done
         q = pos[c]
         d_c = down[q] | 1 << q
         for d in successors[c]:
             down[pos[d]] |= d_c
-    return _ClassIndex(
-        tuple(masks), tuple(pos[c] for c in comp), tuple(down), tuple(up), tuple(covers)
-    )
+    index = _ClassIndex(tuple(masks), tuple(position), tuple(down), tuple(up), tuple(covers))
+    return index, old
+
+
+def _closure_index(succ: Sequence[Sequence[int]]) -> _ClassIndex:
+    """Class index of the reflexive-transitive closure of the successor lists.
+
+    The classes are the strongly connected components, which Tarjan's walk
+    emits sinks first.  Every cover is an edge of the condensed graph (Aho,
+    Garey and Ullman, 1972), so the components' successor lists hold every cover.
+    """
+    comp, successors = _components(succ)
+    return _class_index(comp, successors, range(len(successors)))[0]
 
 
 def _vertex_masks(index: _ClassIndex) -> tuple[int, ...]:

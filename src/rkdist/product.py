@@ -22,7 +22,7 @@ from .core import (
     RkProfile,
     TooManyVertices,
     _bits,
-    _ClassIndex,
+    _class_index,
     _class_structure,
     _closed_preorder,
     _profile,
@@ -69,8 +69,7 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
     names = _product_names(a, b)
     ia, ib = a.order._classes, b.order._classes
     kb = len(ib.masks)
-    # Class (X, Y) sits at X*kb + Y, the order of its least member (least X, least Y)
-    # when pair (i, j) sits at i*w + j, w the number of b's vertices.
+    # Class (X, Y) is X*kb + Y here; _class_index renumbers the classes by least member.
     ils = [
         xl * y.bit_count() + (x.bit_count() + xl) * yl
         for x, xl in zip(ia.masks, a.limit_counts)
@@ -83,67 +82,17 @@ def pareto_product(a: RkProfile, b: RkProfile) -> RkProfile:
         above = [d * kb for d in _bits(cx)]
         for y, cy in enumerate(covers_b):
             covers.append([d + y for d in above] + [x * kb + d for d in cy])
-    position = tuple(x * kb + y for x in ia.position for y in ib.position)
+    # A class above another has a smaller |up(X)| + |up(Y)|: sorted by it, sinks come first.
+    up_b = [y.bit_count() for y in ib.up]
+    height = [x + y for x in map(int.bit_count, ia.up) for y in up_b]
+    sinks_first = sorted(range(len(height)), key=height.__getitem__)
     # A factor name with "*" can break pair order; the vertices go by name.
+    position = [x * kb + y for x in ia.position for y in ib.position]
     pair = sorted(range(len(names)), key=names.__getitem__)
-    index, moved = _renumbered(position, covers, pair)
+    index, old = _class_index([position[v] for v in pair], covers, sinks_first)
     return _profile(
-        _closed_preorder([names[v] for v in pair], index), tuple(ils[c] for c in moved)
+        _closed_preorder([names[v] for v in pair], index), tuple(ils[c] for c in old)
     )
-
-
-def _renumbered(
-    position: Sequence[int], covers: Sequence[Sequence[int]], order: Sequence[int]
-) -> tuple[_ClassIndex, list[int]]:
-    """The class index of vertex classes and their upper covers, with vertex order[r]
-    renumbered r; and each new class's old position.
-
-    Vertex v is in class position[v], and covers[c] lists the classes that
-    cover class c, all by old position.  Classes go by least member again.
-    Along a linear extension of the covers, from the bottom, each class
-    passes its strict down-set on to the classes that cover it; from the
-    top, it takes its strict up-set from them and builds its cover mask.
-    """
-    k = len(covers)
-    new = [-1] * k
-    old: list[int] = []
-    renumbered = []
-    masks = [0] * k
-    for r, v in enumerate(order):
-        c = position[v]
-        q = new[c]
-        if q < 0:
-            q = new[c] = len(old)
-            old.append(c)
-        renumbered.append(q)
-        masks[q] |= 1 << r
-    upper = [[new[d] for d in covers[c]] for c in old]
-    lower = [0] * k
-    for ds in upper:
-        for d in ds:
-            lower[d] += 1
-    extension = [q for q in range(k) if not lower[q]]
-    for q in extension:
-        for d in upper[q]:
-            lower[d] -= 1
-            if not lower[d]:
-                extension.append(d)
-    down = [0] * k
-    for q in extension:
-        below = down[q] | 1 << q
-        for d in upper[q]:
-            down[d] |= below
-    up = [0] * k
-    cover = [0] * k
-    for q in reversed(extension):
-        above = cq = 0
-        for d in upper[q]:
-            above |= up[d]
-            cq |= 1 << d
-        up[q] = above | cq
-        cover[q] = cq
-    index = _ClassIndex(tuple(masks), tuple(renumbered), tuple(down), tuple(up), tuple(cover))
-    return index, old
 
 
 def _product_names(a: RkProfile, b: RkProfile) -> list[str]:

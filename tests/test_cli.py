@@ -501,7 +501,7 @@ def test_document_over_the_vertex_limit_exits_2(monkeypatch):
 @pytest.mark.parametrize("command", ["product", "report --factor"])
 def test_product_over_the_vertex_limit_exits_2(tmp_path, monkeypatch, command):
     built = []
-    monkeypatch.setattr(product, "_renumbered", lambda *args: built.append(args))
+    monkeypatch.setattr(product, "_class_index", lambda *args: built.append(args))
     a, b = tmp_path / "a.rkp", tmp_path / "b.rkp"
     a.write_bytes(serialize(chain_profile([0] + [1] * 99)))
     b.write_bytes(serialize(chain_profile([0] + [1] * (MAX_VERTICES // 100))))

@@ -53,6 +53,14 @@ def test_preorder_invariants_rejected():
         )  # not transitive
     with pytest.raises(ValueError):
         Preorder(frozenset({"bad name"}), frozenset({("bad name", "bad name")}))
+    # Names are checked before they are sorted, so a name that is no string
+    # is a bad name, not a TypeError from comparing it with a string.
+    with pytest.raises(ValueError, match="^bad vertex name 1$"):
+        close_preorder([1, "a"], [])
+    with pytest.raises(ValueError, match="^bad vertex name None$"):
+        make_profile(["a", None], [], {})
+    with pytest.raises(ValueError, match="^bad vertex name 2$"):
+        Preorder(["a", 2], [("a", "a")])
 
 
 def test_profile_il_must_cover_classes():

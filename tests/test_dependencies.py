@@ -1,6 +1,6 @@
 """The package has no runtime dependencies: it imports only the standard library,
-it keeps no private helper that only the tests call, and no public method that
-nothing calls."""
+it keeps no private helper that only the tests call, no public method that
+nothing calls, and no name imported from a sibling module that goes unread."""
 
 import ast
 import sys
@@ -94,3 +94,24 @@ def test_public_methods_are_read():
                 if reads[fn.name] == own:
                     unread.append(f"{path.name}: {cls.name}.{fn.name}")
     assert unread == []
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "__init__.py"], ids=lambda path: path.name
+)
+def test_sibling_imports_are_read(path):
+    # A name imported from a sibling module must be read in the importing
+    # module; __init__.py is exempt, being the package's re-export surface.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert imported - read == set()
