@@ -13,6 +13,7 @@ import functools
 import io as _io
 import re
 import sys
+from collections.abc import Callable
 
 from . import catalog, enumeration, io, product
 from .core import (
@@ -48,9 +49,9 @@ class _Usage(Exception):
     """Wraps errors that should exit with the usage status."""
 
 
-def _load(path: str, stdin: bytes) -> RkProfile:
+def _load(path: str, stdin: Callable[[], bytes]) -> RkProfile:
     if path == "-":
-        return io.parse(stdin)
+        return io.parse(stdin())
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -283,8 +284,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: list[str], stdin: bytes = b"") -> tuple[bytes, bytes, int]:
-    """Run one command; returns (stdout, stderr, exit code).  "-" reads stdin."""
+def run(argv: list[str], stdin: bytes | Callable[[], bytes] = b"") -> tuple[bytes, bytes, int]:
+    """Run one command; returns (stdout, stderr, exit code).
+
+    An input file "-" reads stdin: the bytes given, or those the callable
+    returns, called once and only if a command loads "-".
+    """
+    read_stdin = functools.cache(stdin) if callable(stdin) else lambda: stdin
     out = _io.BytesIO()
     err_buffer = _io.BytesIO()
     err_text = _io.TextIOWrapper(err_buffer, encoding="utf-8", newline="\n")
@@ -294,7 +300,7 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[bytes, bytes, int]:
         with contextlib.redirect_stdout(out_text), contextlib.redirect_stderr(err_text):
             try:
                 args = _build_parser().parse_args(argv)
-                code = int(args.func(args, stdin, out, err_buffer))
+                code = int(args.func(args, read_stdin, out, err_buffer))
             except SystemExit as exc:  # argparse usage errors and --help
                 code = int(exc.code or 0)
             except (
@@ -329,9 +335,8 @@ def run(argv: list[str], stdin: bytes = b"") -> tuple[bytes, bytes, int]:
 
 
 def main() -> None:
-    argv = sys.argv[1:]
-    stdin = sys.stdin.buffer.read() if "-" in argv else b""
-    out, err, code = run(argv, stdin)
+    # "-o -" is stdout, so stdin is read only when a command loads "-".
+    out, err, code = run(sys.argv[1:], lambda: sys.stdin.buffer.read())
     sys.stdout.buffer.write(out)
     sys.stderr.buffer.write(err)
     sys.exit(code)

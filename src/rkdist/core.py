@@ -43,8 +43,10 @@ __all__ = [
     "validate_profile",
 ]
 
-# "*" appears only in vertex names generated by products of profiles.
-NAME_RE = re.compile(r"[A-Za-z0-9_*]+\Z")
+# One character of a vertex name; "*" appears only in names generated by
+# products of profiles.
+NAME_CHAR = "[A-Za-z0-9_*]"
+NAME_RE = re.compile(NAME_CHAR + r"+\Z")
 
 # The most vertices a parsed document or a product may have; memory grows with
 # the square of the vertex count, and README gives the measured cost at the limit.
@@ -81,18 +83,24 @@ def _least(mask: int) -> int:
 def _successor_lists(
     vertices: Iterable[str], pairs: Iterable[tuple[str, str]]
 ) -> tuple[tuple[str, ...], list[list[int]]]:
-    """Sort the vertices and list, per vertex, the vertices that the pairs put above it."""
-    # Checked before sorting, which would raise TypeError on names of mixed types;
-    # the least bad name by str is named, whatever the order of the vertices.
+    """Sort the distinct vertices and list, per vertex, the vertices that the pairs put above it."""
+    # Checked before sorting or hashing, which would raise TypeError on names of
+    # mixed or unhashable types; the least bad name by str is named, whatever
+    # the order of the vertices.
+    vertices = list(vertices)
     bad = [v for v in vertices if not isinstance(v, str) or not NAME_RE.match(v)]
     if bad:
         raise ValueError(f"bad vertex name {min(bad, key=str)!r}")
-    names = sorted(vertices)
+    names = sorted(set(vertices))
     index = {v: i for i, v in enumerate(names)}
     succ: list[list[int]] = [[] for _ in names]
-    for a, b in pairs:
-        ia = index.get(a)
-        ib = index.get(b)
+    for pair in pairs:
+        try:
+            a, b = pair
+            ia = index.get(a)
+            ib = index.get(b)
+        except (TypeError, ValueError):  # not two items, or an unhashable one
+            raise ValueError(f"bad pair {pair!r}, expected two vertex names") from None
         if ia is None or ib is None:
             missing = a if ia is None else b
             raise UnknownVertex(f"relation references undeclared vertex {missing!r}")
@@ -264,7 +272,7 @@ class Preorder:
     _classes: _ClassIndex = field(repr=False)
 
     def __init__(self, vertices: Iterable[str], leq: Iterable[tuple[str, str]]) -> None:
-        names, succ = _successor_lists(frozenset(vertices), leq)
+        names, succ = _successor_lists(vertices, leq)
         masks = tuple(sum(1 << j for j in set(s)) for s in succ)
         for i, v in enumerate(names):
             if not masks[i] >> i & 1:
@@ -304,7 +312,7 @@ def close_preorder(
     vertices: Iterable[str], generating_pairs: Iterable[tuple[str, str]]
 ) -> Preorder:
     """Least reflexive-transitive relation on the vertices containing the pairs."""
-    names, succ = _successor_lists(set(vertices), generating_pairs)
+    names, succ = _successor_lists(vertices, generating_pairs)
     return _closed_preorder(names, _closure_index(succ))
 
 

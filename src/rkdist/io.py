@@ -13,6 +13,9 @@ must receive exactly one il declaration.  Identifiers match [A-Za-z0-9_]+;
 serializations round-trip.  Serialized output is deterministic: sorted vertex
 lines, one directed cycle per multi-member class, Hasse cover edges between
 representatives, il lines on representatives, LF endings, trailing newline.
+A document in exactly that layout, in any statement order, is read with
+three regular expressions; every other document, and every faulty one, is
+read line by line, and only that reader raises parse errors.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import re
 from . import _format, core
 from .core import (
     MAX_VERTICES,
+    NAME_CHAR,
     NAME_RE,
     ClassSummary,
     ProfileError,
@@ -90,6 +94,57 @@ def parse(text: bytes | str) -> RkProfile:
             text = bytes(text).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedLine("document is not valid UTF-8") from exc
+    profile = _read_plain(text)
+    return _read_lines(text) if profile is None else profile
+
+
+_NAME = f"{NAME_CHAR}+"
+# The layout serialize writes: the header, then statements with single spaces,
+# no comments and no blank lines, each ending in LF.
+_PLAIN_RE = re.compile(rf"rkp 1\n(?:(?:vertex {_NAME}|le {_NAME} {_NAME}|il {_NAME} [0-9]+)\n)*")
+# In a plain document every LF but the last starts a statement.
+_VERTEX_RE = re.compile(rf"\nvertex ({_NAME})")
+_LE_RE = re.compile(rf"\nle ({_NAME}) ({_NAME})")
+_IL_RE = re.compile(rf"\nil ({_NAME}) ([0-9]+)")
+
+
+def _read_plain(text: str) -> RkProfile | None:
+    """The profile of a fault-free document in the plain layout, else None.
+
+    A statement's kind and tokens are read off with one regular expression
+    per kind, so their order does not matter.  Any fault gives None, and
+    _read_lines reads the document again to name it.
+    """
+    if not _PLAIN_RE.fullmatch(text):
+        return None
+    names = _VERTEX_RE.findall(text)
+    if len(names) > MAX_VERTICES:
+        return None
+    names.sort()
+    vertex = {v: i for i, v in enumerate(names)}
+    if len(vertex) < len(names):  # a duplicate vertex
+        return None
+    succ: list[list[int]] = [[] for _ in names]
+    try:
+        for a, b in _LE_RE.findall(text):
+            succ[vertex[a]].append(vertex[b])
+        ils = [(vertex[name], int(count)) for name, count in _IL_RE.findall(text)]
+    except (KeyError, ValueError):  # an undeclared name, or a count past the digit limit
+        return None
+    index = core._closure_index(succ)
+    if len(ils) != len(index.masks):
+        return None
+    position = index.position
+    limit_counts: list[int | None] = [None] * len(ils)
+    for i, count in ils:
+        limit_counts[position[i]] = count
+    if None in limit_counts:  # one class given two counts, so another given none
+        return None
+    return _profile(_closed_preorder(names, index), tuple(limit_counts))
+
+
+def _read_lines(text: str) -> RkProfile:
+    """Parse a decoded document line by line, raising the first of its faults."""
     header_seen = False
     vertices: dict[str, int] = {}  # name -> line of its vertex statement
     les: list[tuple[str, str, int]] = []

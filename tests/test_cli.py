@@ -541,3 +541,31 @@ def test_python_m_rkdist_runs_the_command_line():
     (out, err, code), (bad_out, bad_err, bad_code) = results
     assert code == 0 and out.startswith(b"1\n") and err == b""
     assert bad_code == 2 and bad_out == b"" and bad_err.startswith(b"error:")
+
+
+def _python_m_rkdist(argv, **kwargs):
+    src = str(Path(rkdist.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.Popen([sys.executable, "-m", "rkdist", *argv], env=env, **kwargs)
+
+
+def test_output_dash_does_not_read_stdin():
+    # "-o -" is stdout, so the command ends while its stdin pipe stays open.
+    argv = ["catalog", "show", "fig1a", "-o", "-"]
+    pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with _python_m_rkdist(argv, **pipes) as proc:
+        try:
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.stdout.read(), proc.stderr.read(), code) == run(argv)
+
+
+def test_input_dash_reads_stdin_once():
+    data = serialize(get("fig1a"))
+    argv = ["iso", "-", "-"]
+    pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with _python_m_rkdist(argv, **pipes) as proc:
+        out, err = proc.communicate(data, timeout=60)
+    assert (out, err, proc.returncode) == run(argv, data) == (b"isomorphic\n", b"", 0)

@@ -61,6 +61,21 @@ def test_preorder_invariants_rejected():
         make_profile(["a", None], [], {})
     with pytest.raises(ValueError, match="^bad vertex name 2$"):
         Preorder(["a", 2], [("a", "a")])
+    # An unhashable name, or a pair that is not two hashable items, is a
+    # ValueError naming it, not a TypeError or an unpacking error.
+    with pytest.raises(ValueError, match=r"^bad vertex name \['a'\]$"):
+        close_preorder([["a"]], [])
+    bad_pairs = [
+        (close_preorder, ["a"], [("a", ["b"])], r"\('a', \['b'\]\)"),
+        (close_preorder, ["a"], [("a",)], r"\('a',\)"),
+        (Preorder, ["a"], [("a", "a", "a")], r"\('a', 'a', 'a'\)"),
+        (close_preorder, ["a"], [3], "3"),
+    ]
+    for build, vertices, pairs, shown in bad_pairs:
+        with pytest.raises(ValueError, match=f"^bad pair {shown}, expected two vertex names$"):
+            build(vertices, pairs)
+    with pytest.raises(ValueError, match=r"^bad pair \('a',\), expected two vertex names$"):
+        make_profile(["a"], [("a",)], {"a": 0})
 
 
 def test_profile_il_must_cover_classes():

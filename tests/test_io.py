@@ -1,3 +1,4 @@
+import random
 from unittest import mock
 
 import pytest
@@ -8,12 +9,14 @@ from rkdist import (
     InvalidProfile,
     UnknownVertex,
     _format,
+    catalog,
     cli,
     core,
     counts,
     is_isomorphic,
     make_profile,
     pareto_product,
+    product_many,
     quotient,
 )
 from rkdist.catalog import chain_profile, get, least_plus_class
@@ -24,6 +27,8 @@ from rkdist.io import (
     DuplicateVertex,
     MalformedLine,
     MissingIl,
+    _read_lines,
+    _read_plain,
     parse,
     render_ascii,
     render_dot,
@@ -177,6 +182,55 @@ def test_parse_reports_the_first_of_two_faults(doc, error, message, line):
     assert type(info.value) is error
     assert str(info.value) == message
     assert getattr(info.value, "line", None) == line
+
+
+def _renamed_shuffled(profile, rng, prefix):
+    """serialize(profile) with fresh names in a random bijection and its
+    statements shuffled after the header, like the benchmark's relabelled copies."""
+    header, *statements = serialize(profile).decode().splitlines()
+    order = list(range(len(profile.order.names)))
+    rng.shuffle(order)
+    new = {v: f"{prefix}{order[i]}" for i, v in enumerate(profile.order.names)}
+    renamed = []
+    for line in statements:
+        kw, *toks = line.split(" ")
+        named = 2 if kw == "le" else 1  # an il line's second token is its count
+        renamed.append(" ".join([kw, *(new[t] for t in toks[:named]), *toks[named:]]))
+    rng.shuffle(renamed)
+    return "\n".join([header, *renamed]) + "\n"
+
+
+def test_plain_documents_take_the_plain_route():
+    profiles = {
+        (e.name, n): catalog.get(e.name, dict.fromkeys(e.parameters, n))
+        for e in catalog.entries()
+        for n in (1, 2)
+    }
+    for n in range(2, 6):
+        profiles[("fig1a", "power", n)] = product_many([get("fig1a")] * n)
+    factors = ("fig2.8", "fig2.4", "fig1b.2")
+    profiles[factors] = product_many([get(name) for name in factors])
+    rng = random.Random(22)
+    for name, profile in profiles.items():
+        text = serialize(profile).decode()
+        assert _read_plain(text) == profile == _read_lines(text), name
+        copy = _renamed_shuffled(profile, rng, rng.choice("uvwxyz"))
+        assert copy != text, name
+        fast = _read_plain(copy)
+        assert fast is not None and fast == _read_lines(copy), name
+        assert is_isomorphic(fast, profile), name
+
+
+@pytest.mark.parametrize("doc, error, message, line", TWO_FAULTS)
+def test_faulty_documents_leave_the_plain_route(doc, error, message, line):
+    assert _read_plain(doc.decode()) is None
+
+
+def test_plain_document_over_the_vertex_limit_leaves_the_plain_route(monkeypatch):
+    closed = []
+    monkeypatch.setattr(core, "_closure_index", closed.append)
+    doc = "".join(["rkp 1\n", *(f"vertex v{i}\n" for i in range(MAX_VERTICES + 1))])
+    assert _read_plain(doc) is None and closed == []
 
 
 def test_serialize_fig1a_exact_bytes():

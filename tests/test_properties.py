@@ -1,6 +1,7 @@
 """Algebraic invariants checked over randomly generated admissible profiles."""
 
 import os
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -38,6 +39,7 @@ from rkdist.core import (
     _require_admissible,
     mutual_classes,
 )
+from rkdist.io import _read_lines, _read_plain
 from rkdist.product import NotALattice
 
 FLAG_RANK = {"none": 0, "weak": 1, "strict": 2}
@@ -503,6 +505,70 @@ def test_parse_equals_make_profile(drawn):
     assert parsed.order.names == made.order.names
     assert parsed.order._classes == made.order._classes
     assert parsed.limit_counts == made.limit_counts
+
+
+def _perturbations(lines):
+    """Copies of a plain document's lines, each off the plain layout or faulty or both."""
+    header, statements = lines[0], lines[1:]
+    at = len(statements) // 2
+    il = next(i for i, line in enumerate(statements) if line.startswith("il "))
+    vertex = next(line for line in statements if line.startswith("vertex "))
+    name = statements[il].split(" ")[1]
+    long_count = "7" * (max(sys.get_int_max_str_digits(), 4300) + 1)  # past the digit limit
+
+    def replaced(i, *new):
+        return [header, *statements[:i], *new, *statements[i + 1 :]]
+
+    return {
+        "tab": replaced(at, statements[at].replace(" ", "\t", 1)),
+        "double space": replaced(at, statements[at].replace(" ", "  ")),
+        "crlf": [f"{line}\r" for line in lines],
+        "comment": replaced(at, f"{statements[at]} # note"),
+        "comment line": [header, "# note", *statements],
+        "blank line": replaced(at, "", statements[at]),
+        "duplicate vertex": [*lines, vertex],
+        "undeclared name": [*lines, f"le {vertex[7:]} undeclared_q"],
+        "undeclared il": [*lines, "il undeclared_q 0"],
+        "duplicate il": [*lines, statements[il]],
+        "missing il": replaced(il),
+        "long count": replaced(il, f"il {name} {long_count}"),
+    }
+
+
+_PLAIN_SOURCES = st.one_of(
+    admissible_profiles(),
+    st.lists(st.sampled_from(catalog.BASE_NAMES), min_size=1, max_size=3).map(
+        lambda names: product_many([catalog.get(n) for n in names])
+    ),
+)
+
+
+@given(_PLAIN_SOURCES, st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_plain_route_agrees_with_the_line_loop(profile, rng, trailing_newline):
+    """Both readers on serialized documents, shuffled ones and perturbed copies."""
+    header, *statements = serialize(profile).decode().splitlines()
+    shuffled = statements[:]
+    rng.shuffle(shuffled)
+    docs = {"plain": [header, *statements], "shuffled": [header, *shuffled]}
+    docs.update(_perturbations(docs["shuffled"]))
+    for kind, lines in docs.items():
+        text = "\n".join(lines) + ("\n" if trailing_newline else "")
+        fast = _read_plain(text)
+        try:
+            slow = _read_lines(text)
+        except ProfileError as exc:
+            assert fast is None, kind
+            with pytest.raises(ProfileError) as info:
+                parse(text.encode())
+            assert type(info.value) is type(exc), kind
+            assert str(info.value) == str(exc), kind
+            assert getattr(info.value, "line", None) == getattr(exc, "line", None), kind
+            continue
+        assert fast is None or fast == slow, kind
+        assert parse(text.encode()) == slow, kind
+        if kind in ("plain", "shuffled") and trailing_newline:
+            assert fast == slow == profile, kind
 
 
 @given(st.one_of(st.binary(max_size=300), _DOC_LINES))
