@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a validation or check failed, 2 usage/file/parse
-errors.  All output is deterministic given the arguments and file contents.
+Exit codes: 0 success, 1 a validation or check failed, 2 usage, file, parse
+and other library errors.  All output is deterministic given the arguments
+and file contents.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from collections.abc import Callable
 from . import catalog, enumeration, io, product
 from .core import (
     InvalidProfile,
+    ProfileError,
     RkProfile,
-    TooManyVertices,
-    UnknownVertex,
     _require_admissible,
     counts,
     is_isomorphic,
@@ -205,7 +205,10 @@ def _cmd_iso(args, stdin, out, err) -> int:
 def _integer(text: str) -> int:
     if not INTEGER_RE.match(text):
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # beyond the interpreter's limit on digits
+        raise argparse.ArgumentTypeError("the integer has too many digits") from None
 
 
 def _nonnegative_integer(text: str) -> int:
@@ -303,21 +306,12 @@ def run(argv: list[str], stdin: bytes | Callable[[], bytes] = b"") -> tuple[byte
                 code = int(args.func(args, read_stdin, out, err_buffer))
             except SystemExit as exc:  # argparse usage errors and --help
                 code = int(exc.code or 0)
-            except (
-                _Usage,
-                io.ParseError,
-                TooManyVertices,
-                UnknownVertex,
-                catalog.CatalogError,
-                catalog.AdmissibilityViolation,
-                enumeration.InvalidTotal,
-                product.NameCollision,
-            ) as exc:
-                _emit(err_buffer, f"error: {exc}")
-                code = ExitStatus.USAGE
             except (InvalidProfile, product.FactorMismatch) as exc:
                 _emit(err_buffer, f"error: {exc}")
                 code = ExitStatus.CHECK_FAILED
+            except (_Usage, ProfileError) as exc:
+                _emit(err_buffer, f"error: {exc}")
+                code = ExitStatus.USAGE
             except ValueError as exc:
                 # Counts add up and multiply in products past the interpreter's
                 # limit on the digits str(int) writes; any other ValueError is a bug.

@@ -660,14 +660,14 @@ def _cell_keys(
 
 
 def _refine(
-    cells: list[list[int]], down: list[int], up: list[int], fresh: Sequence[int] | None = None
-) -> list[list[int]]:
+    cells: list[int], down: list[int], up: list[int], fresh: Sequence[int] | None = None
+) -> list[int]:
     """Equitable refinement: split cells by how many members of each cell lie below/above.
 
-    Each pass splits every cell by its members' signatures, their (below,
-    above) counts against each cell in position order, and puts the pieces
-    in increasing signature order; passes repeat until no cell splits or
-    every cell is a singleton.
+    Each cell is a mask of classes.  Each pass splits every cell by its
+    members' signatures, their (below, above) counts against each cell in
+    position order, and puts the pieces in increasing signature order;
+    passes repeat until no cell splits or every cell is a singleton.
 
     A pass holds each column as bit planes over the classes: plane k of a
     cell's "below" column is the mask of the classes with bit k set in their
@@ -678,8 +678,7 @@ def _refine(
     each piece into its members outside the plane, then those inside it:
     the numeric order of the counts.  A plane that holds all of the cell's
     members or none splits nothing and is skipped, so a column constant on
-    the cell costs a mask test per plane and no per-member work.  Pieces
-    keep the cell's member order.
+    the cell costs a mask test per plane and no per-member work.
 
     Only the columns of the fresh cells are computed.  Every other column is
     constant inside each cell, so it changes neither the grouping nor the
@@ -699,12 +698,13 @@ def _refine(
         planes: list[int] = []
         for i in fresh:
             c = cells[i]
-            if len(c) == 1:
-                planes += (up[c[0]], down[c[0]])
+            if not c & (c - 1):
+                e = c.bit_length() - 1
+                planes += (up[e], down[e])
                 continue
             below: list[int] = []
             above: list[int] = []
-            for e in c:
+            for e in _bits(c):
                 for sums, x in ((below, up[e]), (above, down[e])):
                     for k, p in enumerate(sums):
                         sums[k], x = p ^ x, p & x
@@ -713,26 +713,21 @@ def _refine(
                     else:
                         sums.append(x)
             planes += below[::-1] + above[::-1]
-        new_cells: list[list[int]] = []
+        new_cells: list[int] = []
         fresh = []
         for c in cells:
-            if len(c) == 1:
+            if not c & (c - 1):
                 new_cells.append(c)
                 continue
-            m = 0
-            for e in c:
-                m |= 1 << e
-            pieces = [m]
+            pieces = [c]
             for p in planes:
-                if 0 < p & m < m:
+                if 0 < p & c < c:
                     pieces = [h for g in pieces for h in (g & ~p, g & p) if h]
             if len(pieces) == 1:
                 new_cells.append(c)
                 continue
-            for g in pieces:
-                fresh.append(len(new_cells))
-                new_cells.append([e for e in c if g >> e & 1])
-            fresh.pop()
+            fresh += range(len(new_cells), len(new_cells) + len(pieces) - 1)
+            new_cells += pieces
         cells = new_cells
     return cells
 
@@ -744,11 +739,11 @@ _Certificate = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ..
 
 def _root_cells(
     keys: list[tuple[int, int, int, int]], down: list[int], up: list[int]
-) -> list[list[int]]:
+) -> list[int]:
     """The refined partition into initial cells, the root of the search tree."""
-    initial: dict[tuple[int, int, int, int], list[int]] = {}
+    initial: dict[tuple[int, int, int, int], int] = {}
     for e, key in enumerate(keys):
-        initial.setdefault(key, []).append(e)
+        initial[key] = initial.get(key, 0) | 1 << e
     return _refine([initial[key] for key in sorted(initial)], down, up)
 
 
@@ -765,28 +760,25 @@ def _certificate(
     )
 
 
-def _target(cells: list[list[int]]) -> int | None:
+def _target(cells: list[int]) -> int | None:
     """Index of the first non-singleton cell; None when the partition is discrete."""
-    return next((i for i, c in enumerate(cells) if len(c) > 1), None)
+    return next((i for i, c in enumerate(cells) if c & (c - 1)), None)
 
 
-def _individualize(
-    cells: list[list[int]], t: int, e: int, down: list[int], up: list[int]
-) -> list[list[int]]:
+def _individualize(cells: list[int], t: int, e: int, down: list[int], up: list[int]) -> list[int]:
     """Split e off cell t of an equitable partition, just before the rest of the cell; refine."""
-    rest = [x for x in cells[t] if x != e]
-    return _refine(cells[:t] + [[e], rest] + cells[t + 1 :], down, up, [t])
+    return _refine(cells[:t] + [1 << e, cells[t] ^ 1 << e] + cells[t + 1 :], down, up, [t])
 
 
 @dataclass
 class _Node:
-    """An inner node of the search tree: its cells, target cell and children so far."""
+    """An inner node of the search tree: its cells, target cell, untried children (a mask)
+    and explored children."""
 
-    cells: list[list[int]]
+    cells: list[int]
     target: int
-    children: list[int]
+    children: int
     explored: list[int] = field(default_factory=list)
-    next_child: int = 0
     fixing: list[list[int]] = field(default_factory=list)
     generators_checked: int = 0
 
@@ -812,9 +804,9 @@ class _leaf_certificates(Iterator[_Certificate]):
     """Each distinct leaf certificate of the individualization-refinement tree, when first
     found; the StopIteration that ends the walk carries the number of leaves visited.
 
-    The root is ``cells``, the refined partition into initial cells; a node's
-    children individualize, in increasing order, each member of its first
-    non-singleton cell, then refine.  The walk is depth first, with an
+    The root is ``cells``, the refined partition into initial cells, each a
+    mask of classes; a node's children individualize, in increasing order,
+    each member of its first non-singleton cell, then refine.  The walk is depth first, with an
     explicit stack.
     A leaf whose certificate was seen before gives an automorphism (the map
     from the earlier leaf order to this one), and the walk backjumps to the
@@ -849,7 +841,7 @@ class _leaf_certificates(Iterator[_Certificate]):
         down: list[int],
         up: list[int],
         covers: list[tuple[int, int]],
-        cells: list[list[int]],
+        cells: list[int],
         seed: Sequence[list[int]] = (),
     ) -> None:
         # certificate -> (leaf order, individualized class per level) of its first leaf
@@ -871,7 +863,7 @@ class _leaf_certificates(Iterator[_Certificate]):
         down: list[int],
         up: list[int],
         covers: list[tuple[int, int]],
-        cells: list[list[int]],
+        cells: list[int],
     ) -> Generator[_Certificate, None, int]:
         seen, generators = self._seen, self.generators
         path: list[_Node] = []
@@ -879,10 +871,10 @@ class _leaf_certificates(Iterator[_Certificate]):
         while True:
             target = _target(cells)
             if target is not None:
-                path.append(_Node(cells, target, sorted(cells[target])))
+                path.append(_Node(cells, target, cells[target]))
             else:
                 leaves += 1
-                order = [c[0] for c in cells]
+                order = [c.bit_length() - 1 for c in cells]
                 cert = _certificate(order, sizes, ils, covers)
                 chosen = [node.explored[-1] for node in path]
                 first = seen.get(cert)
@@ -916,9 +908,9 @@ def _next_child(node: _Node, prefix: list[int], generators: list[list[int]]) -> 
         if all(g[x] == x for x in prefix):
             node.fixing.append(g)
     node.generators_checked = len(generators)
-    while node.next_child < len(node.children):
-        e = node.children[node.next_child]
-        node.next_child += 1
+    while node.children:
+        e = _least(node.children)
+        node.children ^= 1 << e
         if node.fixing and _in_explored_orbit(e, node.explored, node.fixing):
             continue
         node.explored.append(e)
@@ -942,7 +934,7 @@ def _least_certificate(
     keep the labels seed the walk."""
     cells = _root_cells(_cell_keys(sizes, ils, down, up), down, up)
     if len(cells) == len(sizes):
-        return _certificate([c[0] for c in cells], sizes, ils, covers)
+        return _certificate([c.bit_length() - 1 for c in cells], sizes, ils, covers)
     seed = _keeping_labels(automorphisms, sizes, ils)
     return min(_leaf_certificates(sizes, ils, down, up, covers, cells, seed))
 
@@ -1004,7 +996,7 @@ def is_isomorphic(a: RkProfile, b: RkProfile) -> bool:
         return False
     # Refinement is isomorphism-invariant, and the search starts from these cells.
     ra, rb = _root_cells(ka, *sa[2:4]), _root_cells(kb, *sb[2:4])
-    if [(ka[c[0]], len(c)) for c in ra] != [(kb[c[0]], len(c)) for c in rb]:
+    if [(ka[_least(c)], c.bit_count()) for c in ra] != [(kb[_least(c)], c.bit_count()) for c in rb]:
         return False
     # Isomorphic profiles have the same certificates over their whole search
     # trees, and equal certificates mean equal relabelled structures, so one

@@ -177,21 +177,21 @@ def _bounded_posets(k: int) -> tuple[_Poset, ...]:
             # The cells split the initial ones, keyed by (|down|, |up|), so each is all
             # rivals or none.
             rivals = sum(1 << i for i in _bits(maximal) if down[i].bit_count() == size)
-            cell = next(c for c in reversed(cells) if rivals >> c[0] & 1)
-            if x not in cell:
+            cell = next(c for c in reversed(cells) if rivals & c)
+            if not cell >> x & 1:
                 continue
             covers = [c for c in parent.covers if c[1] != x]
             covers += [(i, x) for i in _bits(d) if not up[i] & d]
             covers += [(i, top) for i in _bits(maximal)]
             generators: list[list[int]] = []
-            order = [c[0] for c in cells]
+            order = [c.bit_length() - 1 for c in cells]
             if len(cells) < k:
                 search = _leaf_certificates(uniform_sizes, uniform_ils, down, up, covers, cells)
                 for _ in search:
                     pass
                 order = search.least_order()
-                if len(cell) > 1:
-                    first = min(cell, key=order.index)
+                if cell & (cell - 1):
+                    first = min(_bits(cell), key=order.index)
                     if x != first and not _in_explored_orbit(x, [first], search.generators):
                         continue
                 generators = search.generators

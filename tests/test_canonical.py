@@ -70,19 +70,26 @@ def test_diamond_power_4_matches_oracle():
     assert canonical_form(profile).canonical_text == oracle_canonical_text(profile)
 
 
+def _masks(cells):
+    """The oracle's cells, lists of classes, as the library's class masks."""
+    return [sum(1 << e for e in c) for c in cells]
+
+
 def _refinements_agree(profile, rng):
     """The library's root and its cells after each individualization along one random
-    path equal full passes of the oracle's refinement over the same cells, and the
-    initial cells with their members reversed refine as the oracle refines them."""
+    path equal full passes of the oracle's refinement over the same cells, and so do
+    the refinements of the initial cells that the oracle reads with reversed members."""
     sizes, ils, down, up, _ = core._class_structure(profile)
     cells = core._root_cells(core._cell_keys(sizes, ils, down, up), down, up)
-    assert cells == full_refine(initial_cells(sizes, ils, down, up), down, up)
+    assert cells == _masks(full_refine(initial_cells(sizes, ils, down, up), down, up))
     reversed_cells = [c[::-1] for c in initial_cells(sizes, ils, down, up)]
-    assert core._refine(reversed_cells, down, up) == full_refine(reversed_cells, down, up)
+    expected = _masks(full_refine(reversed_cells, down, up))
+    assert core._refine(_masks(reversed_cells), down, up) == expected
     while (t := core._target(cells)) is not None:
-        e = rng.choice(cells[t])
-        rest = [x for x in cells[t] if x != e]
-        expected = full_refine(cells[:t] + [[e], rest] + cells[t + 1 :], down, up)
+        lists = [list(core._bits(c)) for c in cells]
+        e = rng.choice(lists[t])
+        rest = [x for x in lists[t] if x != e]
+        expected = _masks(full_refine(lists[:t] + [[e], rest] + lists[t + 1 :], down, up))
         cells = core._individualize(cells, t, e, down, up)
         assert cells == expected
 
@@ -145,7 +152,7 @@ def test_refinement_of_any_partition_matches_full_passes(n, density, rng):
     label = [rng.randrange(4) for _ in range(n)]
     members = rng.sample(range(n), n)
     cells = [c for c in ([e for e in members if label[e] == k] for k in range(4)) if c]
-    assert core._refine(cells, down, up) == full_refine(cells, down, up)
+    assert core._refine(_masks(cells), down, up) == _masks(full_refine(cells, down, up))
 
 
 def test_refinement_matches_full_passes_on_base_products(base):
@@ -270,6 +277,29 @@ def test_rigid_cubic_layers_visit_one_leaf_per_class():
     assert canonical_form(profile).canonical_text == oracle_canonical_text(profile)
 
 
+def _walk_shape(profile):
+    """(leaves visited, distinct certificates, generators recorded) of the whole walk."""
+    structure, root = _structure_and_root(profile)
+    walk = core._leaf_certificates(*structure, root)
+    certificates, leaves = _drain(walk)
+    return leaves, len(certificates), len(walk.generators)
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        pytest.param(lambda: product_many([get("fig1a")] * 6), (6, 1, 5), id="fig1a_power_6"),
+        pytest.param(lambda: product_many([get("fig1a")] * 8), (8, 1, 7), id="fig1a_power_8"),
+        pytest.param(lambda: product_many([get("fig2.8")] * 4), (8, 1, 7), id="fig2.8_power_4"),
+        pytest.param(lambda: _layers(_edge_disjoint_matchings(32)), (32, 32, 0), id="rigid_cubic"),
+    ],
+)
+def test_walk_is_pinned(build, shape):
+    # The exact walk, where other tests bound it: a change of cell representation
+    # or of child order that visits other leaves or records other automorphisms fails.
+    assert _walk_shape(build()) == shape
+
+
 def _two_chains(lower_upper_ils):
     """Bottom n00 and top n05 with two 2-class chains between them."""
     names = ["n00", "a1", "a2", "b1", "b2", "n05"]
@@ -304,7 +334,7 @@ def _root_shape(profile):
     """(initial cell key, size) of each refined root cell in order; isomorphic profiles agree."""
     structure, root = _structure_and_root(profile)
     keys = core._cell_keys(*structure[:4])
-    return [(keys[c[0]], len(c)) for c in root]
+    return [(keys[core._least(c)], c.bit_count()) for c in root]
 
 
 def test_equal_invariants_reach_the_search(searches):

@@ -314,6 +314,14 @@ def test_catalog_param_beyond_digit_limit_exits_2(digit_limit):
     assert err == b"error: bad --param k=..., the integer has too many digits\n"
 
 
+@pytest.mark.parametrize("flag", ["--total", "--max-vertices"])
+def test_enumerate_number_beyond_digit_limit_exits_2(digit_limit, flag):
+    out, err, code = run(["enumerate", "--total", "5", flag, "1" * (digit_limit + 700)])
+    assert code == 2 and out == b""
+    assert err.endswith(f"error: argument {flag}: the integer has too many digits\n".encode())
+    assert b"1111" not in err
+
+
 @pytest.mark.parametrize("value", ["\u00b2", "\u0661", "--5", "+5", "1_0"])
 def test_catalog_param_must_be_ascii_integer_exits_2(value):
     argv = ["catalog", "show", "param.ex11", "--param", f"k={value}", "--param", "m=1"]
@@ -349,6 +357,29 @@ def test_enumerate_bad_numbers_exit_2(argv):
     out, err, code = run(["enumerate", *argv])
     assert code == 2 and out == b""
     assert b"error: argument --" in err
+
+
+def _profile_errors():
+    """ProfileError and every subclass of it that the package defines."""
+    found, todo = [], [core.ProfileError]
+    while todo:
+        error = todo.pop()
+        if error.__module__.startswith("rkdist."):
+            found.append(error)
+        todo += error.__subclasses__()
+    return sorted(found, key=lambda error: error.__name__)
+
+
+@pytest.mark.parametrize("error", _profile_errors(), ids=lambda error: error.__name__)
+def test_every_library_error_exits_with_a_message(monkeypatch, files, error):
+    def fail(data):
+        raise error("injected")
+
+    monkeypatch.setattr(rkdist.io, "parse", fail)
+    out, err, code = run(["validate", files["fig1a"]])
+    failed_check = issubclass(error, (core.InvalidProfile, product.FactorMismatch))
+    assert code == (1 if failed_check else 2) and out == b""
+    assert err == b"error: injected\n"
 
 
 def test_report_on_inadmissible_exits_1(tmp_path):

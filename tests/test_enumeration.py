@@ -396,6 +396,24 @@ def test_enumeration_seeds_its_walks(monkeypatch):
     assert 0 < leaves[0] < leaves[1]
 
 
+def test_enumeration_walks_are_pinned(monkeypatch):
+    # A cold run: the poset stage's canonicity walks, then the candidates' walks.
+    leaves = {"posets": 0, "candidates": 0}
+
+    def counted(stage):
+        class Counted(core._leaf_certificates):
+            def _leaves(self, *structure):
+                leaves[stage] += yield from super()._leaves(*structure)
+
+        return Counted
+
+    monkeypatch.setattr(enumeration, "_leaf_certificates", counted("posets"))
+    monkeypatch.setattr(core, "_leaf_certificates", counted("candidates"))
+    _bounded_posets.cache_clear()
+    enumerate_profiles(8)
+    assert leaves == {"posets": 147, "candidates": 56}
+
+
 def test_enumeration_writes_each_head_once():
     # One head per class-size vector of the documents, in one call.
     with mock.patch.object(_format, "head", wraps=_format.head) as head:
