@@ -772,32 +772,27 @@ def _individualize(cells: list[int], t: int, e: int, down: list[int], up: list[i
 
 @dataclass
 class _Node:
-    """An inner node of the search tree: its cells, target cell, untried children (a mask)
-    and explored children."""
+    """An inner node of the search tree: its cells, target cell, untried children (a mask),
+    prefix (the mask of the classes individualized above it) and the child it explores."""
 
     cells: list[int]
     target: int
     children: int
-    explored: list[int] = field(default_factory=list)
-    fixing: list[list[int]] = field(default_factory=list)
-    generators_checked: int = 0
+    prefix: int
+    chosen: int = -1
 
 
-def _in_explored_orbit(e: int, explored: list[int], generators: list[list[int]]) -> bool:
-    """Whether e lies in the orbit of an explored class under the group the generators span."""
-    targets = set(explored)
-    orbit = {e}
-    frontier = [e]
+def _orbit(mask: int, generators: Sequence[list[int]]) -> int:
+    """The union of the orbits of the classes in the mask under the group the generators span."""
+    orbit = frontier = mask
     while frontier:
-        x = frontier.pop()
-        for g in generators:
-            y = g[x]
-            if y in targets:
-                return True
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return False
+        image = 0
+        for x in _bits(frontier):
+            for g in generators:
+                image |= 1 << g[x]
+        frontier = image & ~orbit
+        orbit |= frontier
+    return orbit
 
 
 class _leaf_certificates(Iterator[_Certificate]):
@@ -806,23 +801,25 @@ class _leaf_certificates(Iterator[_Certificate]):
 
     The root is ``cells``, the refined partition into initial cells, each a
     mask of classes; a node's children individualize, in increasing order,
-    each member of its first non-singleton cell, then refine.  The walk is depth first, with an
-    explicit stack.
-    A leaf whose certificate was seen before gives an automorphism (the map
-    from the earlier leaf order to this one), and the walk backjumps to the
-    deepest common ancestor of the two leaves, since the rest of the current
-    subtree there is the automorphism's image of an explored one.  A child
-    whose class shares an orbit with an explored sibling, under the known
-    automorphisms that fix the node's individualized classes, is skipped for
-    the same reason.  The known automorphisms are those recorded so far and
+    each member of its first non-singleton cell, then refine.  The walk is
+    depth first, with an explicit stack.  A leaf whose certificate was seen
+    before gives an automorphism (the map from the earlier leaf order to this
+    one), and the walk backjumps to the deepest common ancestor of the two
+    leaves, since the rest of the current subtree there is the automorphism's
+    image of an explored one.  A child in the orbit of a tried sibling is
+    skipped for the same reason.  The orbits are those of the known
+    automorphisms that fix the node's prefix, the classes individualized above
+    it: those whose support, the mask of the classes they move, misses the
+    prefix.  One closure under them clears the tried children's orbits from
+    the untried ones.  The known automorphisms are those recorded so far and
     ``seed``, automorphisms of the labelled classes that the caller holds
     already.  Only automorphic images of explored subtrees are skipped, so
     every certificate of the whole tree is found (McKay and Piperno,
-    "Practical graph isomorphism, II", 2014).  A caller that stops early
-    skips the rest of the walk.  The first certificate is always the first
-    leaf's, reached by individualizing the least member of each target cell,
-    since a node's first child has no explored sibling and so is never
-    skipped, whatever automorphisms are known.
+    "Practical graph isomorphism, II", 2014).  A caller that stops early skips
+    the rest of the walk.  The first certificate is always the first leaf's,
+    reached by individualizing the least member of each target cell, since a
+    node's first child has no tried sibling and so is never skipped, whatever
+    automorphisms are known.
 
     The walk keeps what it finds: ``generators``, the seed and the recorded
     automorphisms as class maps, and ``least_order()``, the leaf order of
@@ -866,34 +863,39 @@ class _leaf_certificates(Iterator[_Certificate]):
         cells: list[int],
     ) -> Generator[_Certificate, None, int]:
         seen, generators = self._seen, self.generators
+        supports = [sum(1 << x for x, y in enumerate(g) if x != y) for g in generators]
         path: list[_Node] = []
         leaves = 0
         while True:
             target = _target(cells)
             if target is not None:
-                path.append(_Node(cells, target, cells[target]))
+                prefix = path[-1].prefix | 1 << path[-1].chosen if path else 0
+                path.append(_Node(cells, target, cells[target], prefix))
             else:
                 leaves += 1
                 order = [c.bit_length() - 1 for c in cells]
                 cert = _certificate(order, sizes, ils, covers)
-                chosen = [node.explored[-1] for node in path]
+                chosen = [node.chosen for node in path]
                 first = seen.get(cert)
                 if first is None:
                     seen[cert] = (order, chosen)
                     yield cert
                 else:
                     first_order, first_chosen = first
-                    gamma = [0] * len(order)
+                    gamma, support = [0] * len(order), 0
                     for a, b in zip(first_order, order):
                         gamma[a] = b
+                        if a != b:
+                            support |= 1 << a
                     generators.append(gamma)
+                    supports.append(support)
                     depth = 0
                     while first_chosen[depth] == chosen[depth]:
                         depth += 1
                     del path[depth + 1 :]
             while path:
                 node = path[-1]
-                child = _next_child(node, [n.explored[-1] for n in path[:-1]], generators)
+                child = _next_child(node, generators, supports)
                 if child is not None:
                     break
                 path.pop()
@@ -902,20 +904,17 @@ class _leaf_certificates(Iterator[_Certificate]):
             cells = _individualize(node.cells, node.target, child, down, up)
 
 
-def _next_child(node: _Node, prefix: list[int], generators: list[list[int]]) -> int | None:
-    """The node's next child outside the orbits of its explored children, marked explored."""
-    for g in generators[node.generators_checked :]:
-        if all(g[x] == x for x in prefix):
-            node.fixing.append(g)
-    node.generators_checked = len(generators)
-    while node.children:
-        e = _least(node.children)
-        node.children ^= 1 << e
-        if node.fixing and _in_explored_orbit(e, node.explored, node.fixing):
-            continue
-        node.explored.append(e)
-        return e
-    return None
+def _next_child(node: _Node, generators: list[list[int]], supports: list[int]) -> int | None:
+    """The node's least untried child outside the orbits of its tried ones, now its chosen one."""
+    if node.children:
+        fixing = [g for g, s in zip(generators, supports) if not s & node.prefix]
+        if fixing:
+            node.children &= ~_orbit(node.cells[node.target] & ~node.children, fixing)
+    if not node.children:
+        return None
+    node.chosen = _least(node.children)
+    node.children ^= 1 << node.chosen
+    return node.chosen
 
 
 def _least_certificate(

@@ -48,9 +48,9 @@ from .core import (
     _certificate,
     _failed_conditions,
     _document,
-    _in_explored_orbit,
     _leaf_certificates,
     _least_certificate,
+    _orbit,
     _root_cells,
 )
 
@@ -192,7 +192,7 @@ def _bounded_posets(k: int) -> tuple[_Poset, ...]:
                 order = search.least_order()
                 if cell & (cell - 1):
                     first = min(_bits(cell), key=order.index)
-                    if x != first and not _in_explored_orbit(x, [first], search.generators):
+                    if not _orbit(1 << first, search.generators) >> x & 1:
                         continue
                 generators = search.generators
             posets.append(_Poset(down, up, covers, maximal, generators, tuple(order)))

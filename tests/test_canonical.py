@@ -181,14 +181,54 @@ def test_fig1a_power_8_finishes():
     assert canonical_form(parse(text)).canonical_text == text
 
 
+def _antichain(m):
+    """Bottom, top and m incomparable singleton classes between them."""
+    middle = [f"m{i:02d}" for i in range(m)]
+    pairs = [("bot", x) for x in middle] + [(x, "top") for x in middle]
+    il = {"bot": 0, "top": 1} | {x: 0 for x in middle}
+    return make_profile(["bot", "top", *middle], pairs, il)
+
+
 def test_forty_class_antichain_finishes():
-    middle = [f"m{i:02d}" for i in range(40)]
-    pairs = [("bot", m) for m in middle] + [(m, "top") for m in middle]
-    il = {"bot": 0, "top": 1} | {m: 0 for m in middle}
-    profile = make_profile(["bot", "top", *middle], pairs, il)
-    certificates, leaves = _search(profile)
+    certificates, leaves = _search(_antichain(40))
     assert leaves <= 40 * 41 // 2
     assert len(certificates) == 1
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_antichain_matches_oracle(m):
+    # the symmetric extreme: the unpruned oracle visits m! leaves
+    profile = _antichain(m)
+    assert canonical_form(profile).canonical_text == oracle_canonical_text(profile)
+
+
+@st.composite
+def permutation_groups(draw):
+    """Up to three permutations of up to six points, and a mask of the points."""
+    n = draw(st.integers(1, 6))
+    generators = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return n, generators, draw(st.integers(0, (1 << n) - 1))
+
+
+@given(permutation_groups())
+@example((4, [], 0b0110))
+@example((5, [[0, 1, 2, 3, 4]], 0b10010))
+@example((5, [[1, 0, 2, 3, 4], [0, 1, 2, 3, 4]], 0b00101))
+@settings(max_examples=200, deadline=None)
+def test_orbit_is_the_union_of_the_group_orbits(case):
+    # the whole group, closed under composition from the identity, then its orbits
+    n, generators, mask = case
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        h = frontier.pop()
+        for g in generators:
+            gh = tuple(g[y] for y in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    images = {h[x] for h in group for x in range(n) if mask >> x & 1}
+    assert core._orbit(mask, generators) == sum(1 << y for y in images)
 
 
 def _layers(edges, members=(1, 1)):
@@ -255,6 +295,20 @@ def test_regular_layers_match_oracle(name, members):
         assert is_isomorphic(profile, twin) and is_isomorphic(twin, profile)
 
 
+def test_seeded_walk_finds_every_certificate_on_regular_layers():
+    # Seeded with the automorphisms that a first walk recorded, a walk may prune
+    # by a seed only at the nodes whose individualized classes it fixes: the
+    # cubic layers lose a certificate if a seed prunes below a class it moves.
+    for name in sorted(REGULAR_LAYERS):
+        for members in [(1, 1), (2, 1), (1, 3)]:
+            structure, root = _structure_and_root(_layers(REGULAR_LAYERS[name], members))
+            walk = core._leaf_certificates(*structure, root)
+            certificates, _ = _drain(walk)
+            seeded, _ = _drain(core._leaf_certificates(*structure, root, walk.generators))
+            assert seeded[0] == certificates[0], (name, members)
+            assert set(seeded) == set(certificates), (name, members)
+
+
 def _edge_disjoint_matchings(n, k=3):
     """The union of k edge-disjoint perfect matchings on n + n classes, drawn with Random(n)."""
     rng = random.Random(n)
@@ -292,6 +346,8 @@ def _walk_shape(profile):
         pytest.param(lambda: product_many([get("fig1a")] * 8), (8, 1, 7), id="fig1a_power_8"),
         pytest.param(lambda: product_many([get("fig2.8")] * 4), (8, 1, 7), id="fig2.8_power_4"),
         pytest.param(lambda: _layers(_edge_disjoint_matchings(32)), (32, 32, 0), id="rigid_cubic"),
+        pytest.param(lambda: _antichain(8), (8, 1, 7), id="antichain_8"),
+        pytest.param(lambda: _antichain(40), (40, 1, 39), id="antichain_40"),
     ],
 )
 def test_walk_is_pinned(build, shape):
