@@ -732,37 +732,33 @@ def _refine(
     return cells
 
 
-# Class sizes and limit counts in leaf order, and the cover pairs relabelled to
-# leaf positions, sorted.  The canonical document is a function of it.
-_Certificate = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
+# A leaf's certificate: its cover pairs relabelled to leaf positions, sorted.  A _Leaf
+# adds the class sizes and limit counts in leaf order, and fixes the leaf's document.
+_Certificate = tuple[tuple[int, int], ...]
+_Leaf = tuple[tuple[int, ...], tuple[int, ...], _Certificate]
 
 
-def _root_cells(
-    keys: list[tuple[int, int, int, int]], down: list[int], up: list[int]
-) -> list[int]:
+def _root_cells(keys: Sequence[tuple[int, ...]], down: list[int], up: list[int]) -> list[int]:
     """The refined partition into initial cells, the root of the search tree."""
-    initial: dict[tuple[int, int, int, int], int] = {}
+    initial: dict[tuple[int, ...], int] = {}
     for e, key in enumerate(keys):
         initial[key] = initial.get(key, 0) | 1 << e
     return _refine([initial[key] for key in sorted(initial)], down, up)
 
 
-def _certificate(
-    order: Sequence[int], sizes: list[int], ils: list[int], covers: list[tuple[int, int]]
-) -> _Certificate:
+def _certificate(order: Sequence[int], covers: list[tuple[int, int]]) -> _Certificate:
     pos = [0] * len(order)
     for p, e in enumerate(order):
         pos[e] = p
-    return (
-        tuple(sizes[e] for e in order),
-        tuple(ils[e] for e in order),
-        tuple(sorted((pos[a], pos[b]) for a, b in covers)),
-    )
+    return tuple(sorted((pos[a], pos[b]) for a, b in covers))
 
 
-def _target(cells: list[int]) -> int | None:
-    """Index of the first non-singleton cell; None when the partition is discrete."""
-    return next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+def _target(cells: list[int], start: int) -> int | None:
+    """Index of the first non-singleton cell; None when the partition is discrete.
+
+    The cells before ``start`` must be singletons.  In a node's children, the cells
+    up to the node's target are, since cells split only in place."""
+    return next((i for i, c in enumerate(cells[start:], start) if c & (c - 1)), None)
 
 
 def _individualize(cells: list[int], t: int, e: int, down: list[int], up: list[int]) -> list[int]:
@@ -799,6 +795,11 @@ class _leaf_certificates(Iterator[_Certificate]):
     """Each distinct leaf certificate of the individualization-refinement tree, when first
     found; the StopIteration that ends the walk carries the number of leaves visited.
 
+    A certificate is the leaf's cover list relabelled to leaf positions.  The
+    labels need no place in it: the root cells come in the order of their keys,
+    and cells split only in place, so every leaf lists the same class sizes and
+    limit counts.
+
     The root is ``cells``, the refined partition into initial cells, each a
     mask of classes; a node's children individualize, in increasing order,
     each member of its first non-singleton cell, then refine.  The walk is
@@ -833,8 +834,6 @@ class _leaf_certificates(Iterator[_Certificate]):
 
     def __init__(
         self,
-        sizes: list[int],
-        ils: list[int],
         down: list[int],
         up: list[int],
         covers: list[tuple[int, int]],
@@ -844,7 +843,7 @@ class _leaf_certificates(Iterator[_Certificate]):
         # certificate -> (leaf order, individualized class per level) of its first leaf
         self._seen: dict[_Certificate, tuple[list[int], list[int]]] = {}
         self.generators: list[list[int]] = list(seed)
-        self._walk = self._leaves(sizes, ils, down, up, covers, cells)
+        self._walk = self._leaves(down, up, covers, cells)
 
     def __next__(self) -> _Certificate:
         return next(self._walk)
@@ -854,27 +853,21 @@ class _leaf_certificates(Iterator[_Certificate]):
         return self._seen[min(self._seen)][0]
 
     def _leaves(
-        self,
-        sizes: list[int],
-        ils: list[int],
-        down: list[int],
-        up: list[int],
-        covers: list[tuple[int, int]],
-        cells: list[int],
+        self, down: list[int], up: list[int], covers: list[tuple[int, int]], cells: list[int]
     ) -> Generator[_Certificate, None, int]:
         seen, generators = self._seen, self.generators
         supports = [sum(1 << x for x, y in enumerate(g) if x != y) for g in generators]
         path: list[_Node] = []
         leaves = 0
         while True:
-            target = _target(cells)
+            target = _target(cells, path[-1].target + 1 if path else 0)
             if target is not None:
                 prefix = path[-1].prefix | 1 << path[-1].chosen if path else 0
                 path.append(_Node(cells, target, cells[target], prefix))
             else:
                 leaves += 1
                 order = [c.bit_length() - 1 for c in cells]
-                cert = _certificate(order, sizes, ils, covers)
+                cert = _certificate(order, covers)
                 chosen = [node.chosen for node in path]
                 first = seen.get(cert)
                 if first is None:
@@ -924,18 +917,23 @@ def _least_certificate(
     up: list[int],
     covers: list[tuple[int, int]],
     automorphisms: Sequence[list[int]] = (),
-) -> _Certificate:
-    """The least leaf certificate; a discrete root is the only leaf.  Its document is the
-    least leaf document, since the leaves share class sizes and limit counts in leaf
-    order and their documents differ only in cover lines between names sorted by position.
+) -> _Leaf:
+    """The class sizes and limit counts in leaf order and the least leaf certificate; a
+    discrete root is the only leaf.  Every leaf has those sizes and limit counts, so leaf
+    documents differ only in cover lines, and the least certificate's is the least.
 
     ``automorphisms`` are automorphisms of the classes' order, and those of them that
     keep the labels seed the walk."""
     cells = _root_cells(_cell_keys(sizes, ils, down, up), down, up)
     if len(cells) == len(sizes):
-        return _certificate([c.bit_length() - 1 for c in cells], sizes, ils, covers)
-    seed = _keeping_labels(automorphisms, sizes, ils)
-    return min(_leaf_certificates(sizes, ils, down, up, covers, cells, seed))
+        order = [c.bit_length() - 1 for c in cells]
+        cert = _certificate(order, covers)
+    else:
+        seed = _keeping_labels(automorphisms, sizes, ils)
+        walk = _leaf_certificates(down, up, covers, cells, seed)
+        cert = min(walk)
+        order = walk.least_order()
+    return tuple(sizes[e] for e in order), tuple(ils[e] for e in order), cert
 
 
 def _keeping_labels(
@@ -953,11 +951,11 @@ def _keeping_labels(
 _Heads = dict[tuple[int, ...], tuple[bytes, list[str]]]
 
 
-def _document(cert: _Certificate, heads: _Heads | None = None) -> bytes:
+def _document(leaf: _Leaf, heads: _Heads | None = None) -> bytes:
     """Class p named n{p}, or n{p}_{j} per member, with fixed widths: sorted by position.
 
     The head depends only on the class sizes; ``heads`` keeps the heads written so far."""
-    sizes, ils, covers = cert
+    sizes, ils, covers = leaf
     if heads is None:
         heads = {}
     if sizes not in heads:
@@ -985,7 +983,9 @@ def is_isomorphic(a: RkProfile, b: RkProfile) -> bool:
     Profiles whose multisets of initial cell keys, which fix the vertex and
     class counts, or whose refined root partitions differ are told apart
     without a search.  Otherwise the search over a stops at the first leaf
-    whose certificate is b's first.
+    whose certificate is b's first.  The two checks make that exact: a leaf lists
+    its classes root cell by root cell, so the leaves of both trees give each
+    position a class of the same key, and so of the same size and limit count.
     """
     _require_admissible(a)
     _require_admissible(b)
@@ -997,8 +997,7 @@ def is_isomorphic(a: RkProfile, b: RkProfile) -> bool:
     ra, rb = _root_cells(ka, *sa[2:4]), _root_cells(kb, *sb[2:4])
     if [(ka[_least(c)], c.bit_count()) for c in ra] != [(kb[_least(c)], c.bit_count()) for c in rb]:
         return False
-    # Isomorphic profiles have the same certificates over their whole search
-    # trees, and equal certificates mean equal relabelled structures, so one
-    # leaf of b decides, and the walk over a stops at the first match.
-    target = next(_leaf_certificates(*sb, rb))
-    return target in _leaf_certificates(*sa, ra)
+    # Isomorphic profiles have the same certificates over their whole search trees,
+    # so one leaf of b decides, and the walk over a stops at the first match.
+    target = next(_leaf_certificates(*sb[2:], rb))
+    return target in _leaf_certificates(*sa[2:], ra)

@@ -17,18 +17,18 @@ A uniform candidate, one vertex per class and a limit count on the top
 alone, takes the poset's own least leaf order, which canonical
 augmentation found while it built the poset, with no refinement and no
 walk.  The top is the only class with k - 1 classes below it, so the
-candidate's initial cells, and their order, are the poset's own; every
-generator fixes the top, so every generator seeds the walk; and every
-leaf of one tree lists the root cells' members in the same cell order, so
-the top is last in each and leaf certificates differ only in their cover
-pairs, as in the poset's own walk.
+candidate's initial cells, and their order, are the poset's own, and every
+generator fixes the top and so seeds the walk.  A leaf certificate is the
+relabelled cover list alone, with no labels, so the candidate's
+certificates are the poset's; and the top, alone in the last root cell, is
+last in every leaf order, so the labels in leaf order are the candidate's own.
 
 A candidate whose refined root is not discrete needs a walk of its search
 tree for that certificate.  The walk starts with the poset's generators
 under which the labelling is invariant: they are automorphisms of the
 labelled profile, so it skips their images from the start instead of
 finding them leaf by leaf.  A document is a head, which depends only on
-the certificate's class sizes, and a tail, the cover and il lines; each
+the class sizes in leaf order, and a tail, the cover and il lines; each
 call writes the head of each size vector once.
 """
 
@@ -44,7 +44,6 @@ from .core import (
     ProfileError,
     _Heads,
     _bits,
-    _cell_keys,
     _certificate,
     _failed_conditions,
     _document,
@@ -156,7 +155,6 @@ def _bounded_posets(k: int) -> tuple[_Poset, ...]:
         return (_Poset((0, 1), [2, 0], [(0, 1)], 1, [], (0, 1)),)
     x, top = k - 2, k - 1
     x_bit, top_bit = 1 << x, 1 << top
-    uniform_sizes, uniform_ils = [1] * k, [0] * k
     posets = []
     for parent in _bounded_posets(k - 1):
         inner = parent.down[:-1]
@@ -172,7 +170,8 @@ def _bounded_posets(k: int) -> tuple[_Poset, ...]:
             # Below x the parent's top bit now means x; outside x's down-set it moves up.
             up = [u if d >> i & 1 else u ^ x_bit for i, u in enumerate(parent.up[:-1])]
             up = [u | top_bit for u in up] + [top_bit, 0]
-            cells = _root_cells(_cell_keys(uniform_sizes, uniform_ils, down, up), down, up)
+            keys = [(d.bit_count(), u.bit_count()) for d, u in zip(down, up)]
+            cells = _root_cells(keys, down, up)
             maximal = kept_maximal | x_bit
             # The cells split the initial ones, keyed by (|down|, |up|), so each is all
             # rivals or none.
@@ -186,7 +185,7 @@ def _bounded_posets(k: int) -> tuple[_Poset, ...]:
             generators: list[list[int]] = []
             order = [c.bit_length() - 1 for c in cells]
             if len(cells) < k:
-                search = _leaf_certificates(uniform_sizes, uniform_ils, down, up, covers, cells)
+                search = _leaf_certificates(down, up, covers, cells)
                 for _ in search:
                     pass
                 order = search.least_order()
@@ -253,8 +252,8 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
                         raise InvalidProfile("profile fails " + ", ".join(failed))
                     # A uniform candidate's search tree is the poset's own.
                     if n == k and not any(ils[:-1]):
-                        cert = _certificate(poset.order, sizes, ils, covers)
+                        leaf = sizes, ils, _certificate(poset.order, covers)
                     else:
-                        cert = _least_certificate(sizes, ils, down, up, covers, poset.generators)
-                    documents.append(_document(cert, heads))
+                        leaf = _least_certificate(sizes, ils, down, up, covers, poset.generators)
+                    documents.append(_document(leaf, heads))
     return EnumerationResult(total, tuple(CanonicalProfile(d) for d in sorted(set(documents))))

@@ -1,0 +1,98 @@
+"""Byte-identity fence: sha256 digests of enumeration and catalog output.
+
+The goldens pin only total 4, and the labelled-route tests compare the
+enumerator with the library's own ``canonical_form``, so a writer change
+that altered bytes on both sides would pass them.  These digests were taken
+before the document writer stopped sorting its input, and the starred
+products' digest before ``pareto_product`` stopped building cover masks;
+any change to the bytes of a document, canonical or serialized, fails here.
+The module needs only the standard library, so it runs on interpreters
+without pytest:
+
+    PYTHONPATH=src python tests/byte_digests.py   # check every digest; exit 1 on a mismatch
+"""
+
+import hashlib
+import sys
+
+from rkdist import canonical_form, make_profile, pareto_product, serialize
+from rkdist.catalog import BASE_NAMES, get
+from rkdist.cli import run
+
+TOTALS = range(2, 10)
+
+# Per --max-vertices cut (None: uncapped), over `enumerate --total t` for t = 2..9.
+ENUMERATE_DIGESTS = {
+    None: "2a0f289b627909ba9015c34519549acf86cc21c1acb781f53672f8c8051309e9",
+    2: "79efaae14e9e61952fa0f149a609ec05638995c23b61e2092e2a6cd34d965865",
+    3: "5f8d9be47a92409ce231ab612dbdeee43371a77e1c5400f7f5b7714af91aaa8a",
+    4: "b9dc1194141bec68a8b8800dc6ce7b388f7050c3ef34b2aa343760bd9e29e40f",
+    5: "a8317b732af1d2f11b5bb73e37b187d4f895db7c0bba6a9612b05a879a2afa84",
+    6: "4551bd326f892b52d16293eac20a5e19f9fa35a4412724e9d84ce87e9764ba18",
+}
+
+# serialize then canonical_form of each base entry, of each ordered pair's
+# product, and of each base entry times each starred factor, in both orders.
+CATALOG_DIGESTS = {
+    "base": "f3dbb72ee87a10a5e99dd60b33562e317e22bcf6e5827c976d7f3b35128d1e77",
+    "products": "fc31082e6971f1fb141ea2a62aac341bf3f708026c728714ced892e673cd5aca",
+    "starred": "9b40bc5f1bc00d7e07556c69e467049ba9efb3c3e80eb9166f1746612784cb37",
+}
+
+# Factors whose names break pair order on the left of a product: "s*0*a"
+# sorts before "s*a", so the product renumbers all of its classes or, for
+# the first, all but one.
+STARRED = (
+    make_profile(
+        ["b", "b*a", "b*a*a", "b*a*a*a"],
+        [("b", "b*a"), ("b*a", "b*a*a"), ("b*a*a", "b*a"), ("b*a*a", "b*a*a*a")],
+        {"b": 0, "b*a": 1, "b*a*a*a": 1},
+    ),
+    make_profile(
+        ["s", "s*0", "s*1", "s*2", "s*3"],
+        [("s", "s*0"), ("s*0", "s*1"), ("s*1", "s*0"), ("s", "s*2")]
+        + [("s*0", "s*3"), ("s*2", "s*3")],
+        {"s": 0, "s*0": 1, "s*2": 0, "s*3": 1},
+    ),
+)
+
+
+def enumerate_digest(max_vertices):
+    h = hashlib.sha256()
+    for total in TOTALS:
+        argv = ["enumerate", "--total", str(total)]
+        if max_vertices is not None:
+            argv += ["--max-vertices", str(max_vertices)]
+        out, err, code = run(argv)
+        assert code == 0 and err == b""
+        h.update(out)
+    return h.hexdigest()
+
+
+def catalog_digest(kind):
+    base = [get(name) for name in BASE_NAMES]
+    if kind == "base":
+        profiles = base
+    elif kind == "products":
+        profiles = [pareto_product(a, b) for a in base for b in base]
+    else:
+        pairs = [(s, b) for s in STARRED for b in base]
+        profiles = [p for s, b in pairs for p in (pareto_product(s, b), pareto_product(b, s))]
+    h = hashlib.sha256()
+    for profile in profiles:
+        h.update(serialize(profile))
+        h.update(canonical_form(profile).canonical_text)
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    checks = [(m, enumerate_digest, ENUMERATE_DIGESTS) for m in ENUMERATE_DIGESTS]
+    checks += [(kind, catalog_digest, CATALOG_DIGESTS) for kind in CATALOG_DIGESTS]
+    mismatches = 0
+    for key, digest, expected in checks:
+        got = digest(key)
+        mismatches += got != expected[key]
+        verdict = "ok" if got == expected[key] else f"mismatch, got {got}"
+        print(f"{digest.__name__}({key!r}): {verdict}")
+    print(f"Python {sys.version.split()[0]}: {len(checks) - mismatches} of {len(checks)} match")
+    sys.exit(1 if mismatches else 0)

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from canon_oracle import discrete_orders, full_refine, initial_cells, oracle_canonical_text
 from enum_oracle import iso_by_permutation
@@ -18,6 +18,7 @@ from rkdist import (
     pareto_product,
     parse,
     product_many,
+    quotient,
 )
 from rkdist.catalog import BASE_NAMES, get
 
@@ -34,7 +35,7 @@ def _drain(walk):
 
 def _search(profile):
     structure, root = _structure_and_root(profile)
-    return _drain(core._leaf_certificates(*structure, root))
+    return _drain(core._leaf_certificates(*structure[2:], root))
 
 
 @pytest.mark.parametrize("value", [1, 2, 3])
@@ -85,7 +86,7 @@ def _refinements_agree(profile, rng):
     reversed_cells = [c[::-1] for c in initial_cells(sizes, ils, down, up)]
     expected = _masks(full_refine(reversed_cells, down, up))
     assert core._refine(_masks(reversed_cells), down, up) == expected
-    while (t := core._target(cells)) is not None:
+    while (t := core._target(cells, 0)) is not None:
         lists = [list(core._bits(c)) for c in cells]
         e = rng.choice(lists[t])
         rest = [x for x in lists[t] if x != e]
@@ -302,9 +303,9 @@ def test_seeded_walk_finds_every_certificate_on_regular_layers():
     for name in sorted(REGULAR_LAYERS):
         for members in [(1, 1), (2, 1), (1, 3)]:
             structure, root = _structure_and_root(_layers(REGULAR_LAYERS[name], members))
-            walk = core._leaf_certificates(*structure, root)
+            walk = core._leaf_certificates(*structure[2:], root)
             certificates, _ = _drain(walk)
-            seeded, _ = _drain(core._leaf_certificates(*structure, root, walk.generators))
+            seeded, _ = _drain(core._leaf_certificates(*structure[2:], root, walk.generators))
             assert seeded[0] == certificates[0], (name, members)
             assert set(seeded) == set(certificates), (name, members)
 
@@ -334,7 +335,7 @@ def test_rigid_cubic_layers_visit_one_leaf_per_class():
 def _walk_shape(profile):
     """(leaves visited, distinct certificates, generators recorded) of the whole walk."""
     structure, root = _structure_and_root(profile)
-    walk = core._leaf_certificates(*structure, root)
+    walk = core._leaf_certificates(*structure[2:], root)
     certificates, leaves = _drain(walk)
     return leaves, len(certificates), len(walk.generators)
 
@@ -477,7 +478,7 @@ def _first_leaf(profile):
 def _first_certificate(profile):
     """The library walk's first certificate; the walk individualizes only along its path."""
     structure, root = _structure_and_root(profile)
-    return next(core._leaf_certificates(*structure, root))
+    return next(core._leaf_certificates(*structure[2:], root))
 
 
 def _shuffled_copy(profile, seed):
@@ -521,8 +522,8 @@ def test_isomorphic_pair_stops_at_the_first_matching_leaf(individualizations):
 def test_non_isomorphic_pair_walks_the_whole_tree(individualizations, p, q):
     (sp, rp), (sq, rq) = _structure_and_root(p), _structure_and_root(q)
     assert _root_shape(p) == _root_shape(q)
-    _drain(core._leaf_certificates(*sp, rp))
-    next(core._leaf_certificates(*sq, rq))
+    _drain(core._leaf_certificates(*sp[2:], rp))
+    next(core._leaf_certificates(*sq[2:], rq))
     whole_tree = len(individualizations)
     individualizations.clear()
     assert not is_isomorphic(p, q)
@@ -557,9 +558,87 @@ def test_is_isomorphic_is_first_leaf_membership(pair):
     a, b = pair
     certificates, _ = _search(a)
     first = _first_leaf(b)
-    assert _first_certificate(b) == first
-    expected = first in certificates
+    assert _first_certificate(b) == first[2]
+    expected = first[:2] == _first_leaf(a)[:2] and first[2] in certificates
     assert is_isomorphic(a, b) == expected
     assert expected == (canonical_form(a).canonical_text == canonical_form(b).canonical_text)
     if len(a.order.names) <= 10:
         assert iso_by_permutation(a, b) == expected
+
+
+def _ten_class_profiles():
+    """The profiles that profile_pairs draws from, with at most 10 classes."""
+    factor = st.one_of(admissible_profiles(), bounded_posets(3))
+    products = st.builds(pareto_product, factor, factor)
+    return st.one_of(admissible_profiles(), bounded_posets(8), matching_layers(), products).filter(
+        lambda profile: len(profile.order._classes.masks) <= 10
+    )
+
+
+@given(_ten_class_profiles())
+@settings(max_examples=100, deadline=None)
+def test_every_leaf_lists_the_sorted_labels(profile):
+    # What lets a certificate leave the labels out: every leaf of the unpruned tree
+    # lists the classes' (size, il) in sorted order, the order of the initial cells.
+    sizes, ils, down, up, covers = core._class_structure(profile)
+    labels = sorted(zip(sizes, ils))
+    for order in discrete_orders(sizes, ils, down, up):
+        assert [(sizes[e], ils[e]) for e in order] == labels
+    assert core._least_certificate(sizes, ils, down, up, covers)[:2] == tuple(zip(*labels))
+
+
+def _recounted(profile, counts):
+    """The profile with the limit counts of some classes, given by representative, replaced."""
+    il = {c.representative: c.limit_count for c in quotient(profile).classes} | counts
+    return make_profile(profile.order.names, profile.order.leq, il)
+
+
+@st.composite
+def label_swaps(draw):
+    """A drawn profile with two different limit counts put on two classes of equal size,
+    |down| and |up|, and its copy with the two counts swapped: equal cell keys."""
+    profile = draw(_ten_class_profiles())
+    classes = quotient(profile).classes
+    down, up = profile.order._classes.down, profile.order._classes.up
+    shape = [(c.size, d.bit_count(), u.bit_count()) for c, d, u in zip(classes, down, up)]
+    pairs = [(i, j) for j in range(len(shape)) for i in range(j) if shape[i] == shape[j]]
+    assume(pairs)
+    i, j = draw(st.sampled_from(pairs))
+    x, y = classes[i].representative, classes[j].representative
+    floor = 1 if classes[i].size > 1 else 0
+    c, d = draw(st.lists(st.integers(floor, floor + 3), min_size=2, max_size=2, unique=True))
+    return _recounted(profile, {x: c, y: d}), _recounted(profile, {x: d, y: c})
+
+
+# a diamond whose two middle classes carry different counts
+DIAMOND = make_profile(
+    ["bot", "a", "b", "top"],
+    [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")],
+    {"bot": 0, "a": 0, "b": 1, "top": 1},
+)
+# x2 < y0 > x0 < y1 > x1 < y2: x0 and x1 both lie below three classes, but only x1
+# lies below a class with one lower cover, so refinement tells them apart
+PATH = _recounted(_layers([(0, 0), (0, 1), (1, 1), (1, 2), (2, 0)]), {"x0": 1})
+
+
+@pytest.mark.parametrize(
+    "a, b, isomorphic",
+    [
+        (DIAMOND, _recounted(DIAMOND, {"a": 1, "b": 0}), True),
+        (PATH, _recounted(PATH, {"x0": 0, "x1": 1}), False),
+    ],
+    ids=["diamond", "path"],
+)
+def test_swapped_counts_pinned(a, b, isomorphic):
+    assert is_isomorphic(a, b) == iso_by_permutation(a, b) == isomorphic
+    assert (canonical_form(a) == canonical_form(b)) == isomorphic
+
+
+@given(label_swaps())
+@settings(max_examples=150, deadline=None)
+def test_swapped_counts_agree_with_the_oracles(pair):
+    # Certificates leave the labels out, so is_isomorphic rests on its key and
+    # root checks to tell apart pairs that differ only in limit counts.
+    a, b = pair
+    verdict = is_isomorphic(a, b)
+    assert verdict == iso_by_permutation(a, b) == (canonical_form(a) == canonical_form(b))

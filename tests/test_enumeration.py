@@ -215,9 +215,7 @@ def _poset(down):
     below = [(a, b) for b in range(k) for a in range(k) if down[b] >> a & 1]
     covers = [(a, b) for a, b in below if not down[b] & up[a]]
     sizes, ils = [1] * k, [0] * k
-    search = core._leaf_certificates(
-        sizes, ils, list(down), up, covers, _root(sizes, ils, list(down), up)
-    )
+    search = core._leaf_certificates(list(down), up, covers, _root(sizes, ils, list(down), up))
     for _ in search:
         pass
     maximal = sum(1 << a for a, b in covers if b == k - 1)
@@ -280,11 +278,7 @@ def test_augmentation_does_not_depend_on_the_labelling(monkeypatch):
         monkeypatch.setattr(enumeration, "_bounded_posets", lambda k: (parent,))
         children.append(
             [
-                min(
-                    core._leaf_certificates(
-                        *uniform, c.down, c.up, c.covers, _root(*uniform, c.down, c.up)
-                    )
-                )
+                min(core._leaf_certificates(c.down, c.up, c.covers, _root(*uniform, c.down, c.up)))
                 for c in generate(14)
             ]
         )
@@ -320,7 +314,7 @@ def test_candidate_documents_are_the_least_leaf_documents():
 
 def _walk(structure, seed):
     """The certificates that the library's walk yields, in order, and its leaf count."""
-    walk = core._leaf_certificates(*structure, _root(*structure[:4]), seed)
+    walk = core._leaf_certificates(*structure[2:], _root(*structure[:4]), seed)
     certificates = []
     while True:
         try:
@@ -363,14 +357,14 @@ def test_only_label_keeping_generators_seed_the_walk(monkeypatch):
 
     class Recorded(core._leaf_certificates):
         def __init__(self, *structure):
-            seeds.append(structure[6])
+            seeds.append(structure[4])
             super().__init__(*structure)
 
     monkeypatch.setattr(core, "_leaf_certificates", Recorded)
     # The second swap maps class 1 onto class 3, of another size; the third maps
     # class 3 onto class 4, of another limit count.
     sizes, ils = [1, 1, 1, 2, 2, 1], [0, 0, 0, 1, 2, 1]
-    cert = core._least_certificate(sizes, ils, down, up, covers, swaps)
+    cert = core._least_certificate(sizes, ils, down, up, covers, swaps)[2]
     assert seeds == [[swaps[0]]]
     assert cert == min(_walk((sizes, ils, down, up, covers), ())[0])
     # With equal limit counts on classes 3 and 4 the third swap keeps the labels.
@@ -429,7 +423,7 @@ def _assert_uniform_certificates(poset, oracle):
     for top in (1, 2, 3):
         sizes, ils = [1] * n, [0] * (n - 1) + [top]
         structure = (sizes, ils, poset.down, poset.up, poset.covers)
-        cert = core._certificate(poset.order, sizes, ils, poset.covers)
+        cert = tuple(sizes), tuple(ils), core._certificate(poset.order, poset.covers)
         assert cert == core._least_certificate(*structure), (poset.down, top)
         if oracle:
             document = oracle_canonical_text(build(sizes, poset.down, ils))
