@@ -457,23 +457,21 @@ class QuotientPoset:
     def _linear_extension(self) -> list[int]:
         """Class positions bottom up, each time the lowest-positioned class that is ready.
 
-        Kahn's walk over the covers, the ready classes in a mask: a class is
-        ready once its lower covers are done, and so everything below it.
+        Kahn's walk over the covers, the ready and done classes in masks: as
+        each class is done, each of its upper covers whose down mask is all
+        done turns ready.
         """
-        covers = self.upper_covers
-        waiting = [0] * len(covers)  # lower covers not yet done
-        for m in covers:
-            for b in _bits(m):
-                waiting[b] += 1
-        ready = sum(1 << i for i, w in enumerate(waiting) if not w)
+        covers, down = self.upper_covers, self.down
+        ready = sum(1 << i for i, d in enumerate(down) if not d)
+        done = 0
         order: list[int] = []
         while ready:
             a = _least(ready)
             ready ^= 1 << a
+            done |= 1 << a
             order.append(a)
             for b in _bits(covers[a]):
-                waiting[b] -= 1
-                if not waiting[b]:
+                if not down[b] & ~done:
                     ready |= 1 << b
         return order
 

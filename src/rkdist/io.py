@@ -14,8 +14,8 @@ serializations round-trip.  Serialized output is deterministic: sorted vertex
 lines, one directed cycle per multi-member class, Hasse cover edges between
 representatives, il lines on representatives, LF endings, trailing newline.
 A document in exactly that layout, in any statement order, is read with
-three regular expressions; every other document, and every faulty one, is
-read line by line, and only that reader raises parse errors.
+three whole-line regular expressions; every other document, and every faulty
+one, is read line by line, and only that reader raises parse errors.
 """
 
 from __future__ import annotations
@@ -99,26 +99,26 @@ def parse(text: bytes | str) -> RkProfile:
 
 
 _NAME = f"{NAME_CHAR}+"
-# The layout serialize writes: the header, then statements with single spaces,
-# no comments and no blank lines, each ending in LF.
-_PLAIN_RE = re.compile(rf"rkp 1\n(?:(?:vertex {_NAME}|le {_NAME} {_NAME}|il {_NAME} [0-9]+)\n)*")
-# In a plain document every LF but the last starts a statement.
-_VERTEX_RE = re.compile(rf"\nvertex ({_NAME})")
-_LE_RE = re.compile(rf"\nle ({_NAME}) ({_NAME})")
-_IL_RE = re.compile(rf"\nil ({_NAME}) ([0-9]+)")
+# Each match is one whole statement line, from the LF before it; no line matches two.
+_VERTEX_RE = re.compile(rf"\nvertex ({_NAME})(?=\n)")
+_LE_RE = re.compile(rf"\nle ({_NAME}) ({_NAME})(?=\n)")
+_IL_RE = re.compile(rf"\nil ({_NAME}) ([0-9]+)(?=\n)")
 
 
 def _read_plain(text: str) -> RkProfile | None:
     """The profile of a fault-free document in the plain layout, else None.
 
-    A statement's kind and tokens are read off with one regular expression
-    per kind, so their order does not matter.  Any fault gives None, and
-    _read_lines reads the document again to name it.
+    One regular expression per statement kind reads whole lines in any order,
+    and the layout is plain when they match every line after the header.  Any
+    fault gives None, and _read_lines reads the document again to name it.
     """
-    if not _PLAIN_RE.fullmatch(text):
+    if not (text.startswith("rkp 1\n") and text.endswith("\n")):
         return None
     names = _VERTEX_RE.findall(text)
     if len(names) > MAX_VERTICES:
+        return None
+    les, ils = _LE_RE.findall(text), _IL_RE.findall(text)
+    if 1 + len(names) + len(les) + len(ils) != text.count("\n"):
         return None
     names.sort()
     vertex = {v: i for i, v in enumerate(names)}
@@ -126,11 +126,12 @@ def _read_plain(text: str) -> RkProfile | None:
         return None
     succ: list[list[int]] = [[] for _ in names]
     try:
-        for a, b in _LE_RE.findall(text):
+        for a, b in les:
             succ[vertex[a]].append(vertex[b])
-        ils = [(vertex[name], int(count)) for name, count in _IL_RE.findall(text)]
+        ils = [(vertex[name], int(count)) for name, count in ils]
     except (KeyError, ValueError):  # an undeclared name, or a count past the digit limit
         return None
+    del les  # its strings, two per le line, are not needed while the closure is built
     index = core._closure_index(succ)
     if len(ils) != len(index.masks):
         return None

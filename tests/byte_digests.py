@@ -4,8 +4,10 @@ The goldens pin only total 4, and the labelled-route tests compare the
 enumerator with the library's own ``canonical_form``, so a writer change
 that altered bytes on both sides would pass them.  These digests were taken
 before the document writer stopped sorting its input, and the starred
-products' digest before ``pareto_product`` stopped building cover masks;
-any change to the bytes of a document, canonical or serialized, fails here.
+products' digest before ``pareto_product`` stopped building cover masks,
+and the command digests before the plain reader dropped its layout regular
+expression; any change to the bytes of a document, canonical or serialized,
+or to what a command prints about a product document, fails here.
 The module needs only the standard library, so it runs on interpreters
 without pytest:
 
@@ -13,7 +15,9 @@ without pytest:
 """
 
 import hashlib
+import os
 import sys
+import tempfile
 
 from rkdist import canonical_form, make_profile, pareto_product, serialize
 from rkdist.catalog import BASE_NAMES, get
@@ -37,6 +41,28 @@ CATALOG_DIGESTS = {
     "base": "f3dbb72ee87a10a5e99dd60b33562e317e22bcf6e5827c976d7f3b35128d1e77",
     "products": "fc31082e6971f1fb141ea2a62aac341bf3f708026c728714ced892e673cd5aca",
     "starred": "9b40bc5f1bc00d7e07556c69e467049ba9efb3c3e80eb9166f1746612784cb37",
+}
+
+# Per command, its stdout, stderr and exit code on each ordered pair's
+# product document, read from stdin; "A" and "B" stand for the factors' files.
+COMMANDS = {
+    "report": ["report", "-"],
+    "report --factor": ["report", "-", "--factor", "A", "--factor", "B"],
+    "render --format dot": ["render", "-", "--format", "dot"],
+    "render --format ascii": ["render", "-", "--format", "ascii"],
+    "validate": ["validate", "-"],
+    "check --lattice": ["check", "-", "--lattice"],
+    "check --monotone": ["check", "-", "--monotone"],
+}
+
+COMMAND_DIGESTS = {
+    "report": "e9ee6681559160d6b2ebbf08f8c98396f25ae198b1e87ad935154acfd63e26f7",
+    "report --factor": "165e28e5ef0d880f05e03f64f7626b393208716a6cb22f4f867f91946aece7b2",
+    "render --format dot": "68e584c6d497da46772a878a86e75992dabe8b6d4082aca8d129f6ccb0c83fb9",
+    "render --format ascii": "7c0d1f3a2a87825ca675fd718644ffc8e74d47163a3b298dec4247d631b5f7f3",
+    "validate": "ed50896e7017335b57471fbc512940ce34491a05324141024f5a40a19e8bdf8e",
+    "check --lattice": "b0234b64a35ef8ec13b37032ad8b3bddd82ca907ecd0f191dde052c2948b1e62",
+    "check --monotone": "e27ce686a4ecec3d0a8a2d98cf5e0370b8d04fb3626dac775fb7b49037931ce2",
 }
 
 # Factors whose names break pair order on the left of a product: "s*0*a"
@@ -85,9 +111,26 @@ def catalog_digest(kind):
     return h.hexdigest()
 
 
+def command_digest(command):
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as root:
+        files = {}
+        for name in BASE_NAMES:
+            files[name] = os.path.join(root, f"{name}.rkp")
+            with open(files[name], "wb") as fh:
+                fh.write(serialize(get(name)))
+        for a in BASE_NAMES:
+            for b in BASE_NAMES:
+                argv = [{"A": files[a], "B": files[b]}.get(w, w) for w in COMMANDS[command]]
+                out, err, code = run(argv, serialize(pareto_product(get(a), get(b))))
+                h.update(out + b"\0" + err + b"\0" + bytes([code]))
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     checks = [(m, enumerate_digest, ENUMERATE_DIGESTS) for m in ENUMERATE_DIGESTS]
     checks += [(kind, catalog_digest, CATALOG_DIGESTS) for kind in CATALOG_DIGESTS]
+    checks += [(command, command_digest, COMMAND_DIGESTS) for command in COMMAND_DIGESTS]
     mismatches = 0
     for key, digest, expected in checks:
         got = digest(key)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from byte_digests import CATALOG_DIGESTS, ENUMERATE_DIGESTS, catalog_digest, enumerate_digest
+from byte_digests import (
+    CATALOG_DIGESTS,
+    COMMAND_DIGESTS,
+    ENUMERATE_DIGESTS,
+    catalog_digest,
+    command_digest,
+    enumerate_digest,
+)
 
 
 @pytest.mark.parametrize("max_vertices", list(ENUMERATE_DIGESTS))
@@ -13,3 +20,8 @@ def test_enumeration_bytes_unchanged(max_vertices):
 @pytest.mark.parametrize("kind", list(CATALOG_DIGESTS))
 def test_catalog_bytes_unchanged(kind):
     assert catalog_digest(kind) == CATALOG_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("command", list(COMMAND_DIGESTS))
+def test_command_bytes_unchanged(command):
+    assert command_digest(command) == COMMAND_DIGESTS[command]

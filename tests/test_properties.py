@@ -1,6 +1,7 @@
 """Algebraic invariants checked over randomly generated admissible profiles."""
 
 import os
+import re
 import sys
 
 import pytest
@@ -34,6 +35,7 @@ from rkdist import (
 )
 from rkdist import catalog, cli
 from rkdist.core import (
+    NAME_CHAR,
     _bits,
     _failed_conditions,
     _require_admissible,
@@ -514,6 +516,7 @@ def _perturbations(lines):
     il = next(i for i, line in enumerate(statements) if line.startswith("il "))
     vertex = next(line for line in statements if line.startswith("vertex "))
     name = statements[il].split(" ")[1]
+    declared = vertex[7:]
     long_count = "7" * (max(sys.get_int_max_str_digits(), 4300) + 1)  # past the digit limit
 
     def replaced(i, *new):
@@ -527,11 +530,17 @@ def _perturbations(lines):
         "comment line": [header, "# note", *statements],
         "blank line": replaced(at, "", statements[at]),
         "duplicate vertex": [*lines, vertex],
-        "undeclared name": [*lines, f"le {vertex[7:]} undeclared_q"],
+        "undeclared name": [*lines, f"le {declared} undeclared_q"],
         "undeclared il": [*lines, "il undeclared_q 0"],
         "duplicate il": [*lines, statements[il]],
         "missing il": replaced(il),
         "long count": replaced(il, f"il {name} {long_count}"),
+        # Faults that a scan reading a line's first tokens only would let through.
+        "vertex extra token": replaced(statements.index(vertex), f"{vertex} {declared}"),
+        "le extra token": [*lines, f"le {declared} {declared} {declared}"],
+        "il extra token": replaced(il, f"{statements[il]} 2"),
+        "leading space": replaced(at, f" {statements[at]}"),
+        "bad header": ["rkp 2", *statements],
     }
 
 
@@ -569,6 +578,55 @@ def test_plain_route_agrees_with_the_line_loop(profile, rng, trailing_newline):
         assert parse(text.encode()) == slow, kind
         if kind in ("plain", "shuffled") and trailing_newline:
             assert fast == slow == profile, kind
+
+
+# The plain layout as one regular expression over the whole text: a reference
+# independent of _read_plain's whole-line scans and LF count.
+_NAME = f"{NAME_CHAR}+"
+_PLAIN_RE = re.compile(rf"rkp 1\n(?:(?:vertex {_NAME}|le {_NAME} {_NAME}|il {_NAME} [0-9]+)\n)*")
+
+_LINE_EDITS = {
+    "extra token": lambda line, token: f"{line} {token}",
+    "double space": lambda line, token: line.replace(" ", "  ", 1),
+    "tab": lambda line, token: line.replace(" ", "\t", 1),
+    "cr": lambda line, token: f"{line}\r",
+    "comment": lambda line, token: f"{line} # {token}",
+    "leading space": lambda line, token: f" {line}",
+    "blank line before": lambda line, token: f"\n{line}",
+    "comment line before": lambda line, token: f"# {token}\n{line}",
+}
+
+
+@st.composite
+def near_plain_texts(draw):
+    """A plain document, shuffled, with a few of its lines edited off the layout."""
+    header, *statements = serialize(draw(_PLAIN_SOURCES)).decode().splitlines()
+    header = draw(st.sampled_from([header, "rkp 1 ", "rkp 2"]))
+    lines = [header, *draw(st.permutations(statements))]
+    edit = st.tuples(
+        st.sampled_from(sorted(_LINE_EDITS)),
+        st.integers(0, len(lines) - 1),
+        st.sampled_from(["a", "r", "7", "a*b", "rkp"]),
+    )
+    for kind, at, token in draw(st.lists(edit, max_size=3)):
+        lines[at] = _LINE_EDITS[kind](lines[at], token)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@given(near_plain_texts())
+@settings(max_examples=300, deadline=None)
+def test_plain_route_takes_exactly_the_reference_layout(text):
+    fast = _read_plain(text)
+    if not _PLAIN_RE.fullmatch(text):
+        assert fast is None
+        return
+    try:
+        slow = _read_lines(text)
+    except ProfileError:
+        assert fast is None
+        return
+    # A fault-free document in the layout is never left to the line loop.
+    assert fast == slow
 
 
 @given(st.one_of(st.binary(max_size=300), _DOC_LINES))
