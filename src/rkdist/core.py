@@ -120,68 +120,6 @@ class _ClassIndex(NamedTuple):
     covers: tuple[int, ...]
 
 
-def _components(succ: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Strongly connected components of the digraph of the successor lists, sinks first.
-
-    Tarjan's walk, with an explicit stack, so no input is too deep for it.
-    Returns each vertex's component and each component's successor
-    components (possibly repeated), all found before it.
-    """
-    n = len(succ)
-    number = [0] * n  # DFS number from 1; 0 while unvisited
-    low = [0] * n
-    comp = [-1] * n  # emission index of the vertex's class once it is found
-    out: list[list[int]] = [[] for _ in range(n)]  # per vertex, found classes it points to
-    pending = [iter(s) for s in succ]  # per vertex, the successors not yet looked at
-    stack: list[int] = []
-    successors: list[list[int]] = []  # per class, its successor classes (maybe repeated)
-    counter = 0
-    for root in range(n):
-        if number[root]:
-            continue
-        counter += 1
-        number[root] = low[root] = counter
-        stack.append(root)
-        path = [root]
-        while path:
-            v = path[-1]
-            for w in pending[v]:  # up to the first unvisited successor
-                if not number[w]:
-                    break
-                if comp[w] < 0:  # on the stack, so in v's class
-                    if number[w] < low[v]:
-                        low[v] = number[w]
-                else:
-                    out[v].append(comp[w])
-            else:
-                w = -1
-            if w >= 0:
-                counter += 1
-                number[w] = low[w] = counter
-                stack.append(w)
-                path.append(w)
-                continue
-            path.pop()
-            if low[v] == number[v]:
-                c = len(successors)
-                after: list[int] = []
-                while True:
-                    x = stack.pop()
-                    comp[x] = c
-                    after += out[x]
-                    if x == v:
-                        break
-                successors.append(after)
-            if path:
-                u = path[-1]
-                if comp[v] < 0:
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                else:
-                    out[u].append(comp[v])
-    return comp, successors
-
-
 def _class_index(
     comp: Sequence[int], successors: Sequence[Sequence[int]], sinks_first: Sequence[int]
 ) -> tuple[_ClassIndex, list[int]]:
@@ -235,10 +173,57 @@ def _closure_index(succ: Sequence[Sequence[int]]) -> _ClassIndex:
     """Class index of the reflexive-transitive closure of the successor lists.
 
     The classes are the strongly connected components, which Tarjan's walk
-    emits sinks first.  Every cover is an edge of the condensed graph (Aho,
-    Garey and Ullman, 1972), so the components' successor lists hold every cover.
+    emits sinks first; it keeps an explicit stack, so no input is too deep
+    for it.  Every cover is an edge of the condensed graph (Aho, Garey and
+    Ullman, 1972), so each class's list of the classes that its members
+    point to, found before it, holds every cover.
     """
-    comp, successors = _components(succ)
+    n = len(succ)
+    number = [0] * n  # DFS number from 1; 0 while unvisited
+    low = [0] * n
+    comp = [-1] * n  # emission index of the vertex's class once it is found
+    out: list[list[int]] = [[] for _ in range(n)]  # per vertex, found classes it points to
+    pending = [iter(s) for s in succ]  # per vertex, the successors not yet looked at
+    stack: list[int] = []
+    successors: list[list[int]] = []  # per class, its successor classes (maybe repeated)
+    counter = 0
+    for root in range(n):
+        if number[root]:
+            continue
+        counter += 1
+        number[root] = low[root] = counter
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            for w in pending[v]:
+                if not number[w]:  # enter w; v resumes at its next successor
+                    counter += 1
+                    number[w] = low[w] = counter
+                    stack.append(w)
+                    path.append(w)
+                    break
+                if comp[w] < 0:  # on the stack, so in v's class
+                    if number[w] < low[v]:
+                        low[v] = number[w]
+                else:
+                    out[v].append(comp[w])
+            else:  # v is finished
+                path.pop()
+                if low[v] == number[v]:
+                    c = len(successors)
+                    after: list[int] = []
+                    while True:
+                        x = stack.pop()
+                        comp[x] = c
+                        after += out[x]
+                        if x == v:
+                            break
+                    successors.append(after)
+                    if path:
+                        out[path[-1]].append(c)
+                elif low[v] < low[path[-1]]:  # a DFS root closes a class, so v has a parent
+                    low[path[-1]] = low[v]
     return _class_index(comp, successors, range(len(successors)))[0]
 
 
@@ -485,7 +470,9 @@ def quotient(profile: RkProfile) -> QuotientPoset:
     """Collapse mutual domination; class X sits below Y iff its members are dominated by Y's.
 
     The quotient is the class index with names; operations that print no class
-    representative read the index and never build it.
+    representative read the index and never build it, except ``check --lattice``
+    and ``--boolean``: ``cli._cmd_check`` hands ``quotient()`` to ``is_lattice``
+    (``is_boolean_lattice`` calls it), which reads ``q.greatest()``.
     """
     return profile._quotient
 

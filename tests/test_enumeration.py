@@ -5,6 +5,7 @@ from unittest import mock
 import pytest
 
 from canon_oracle import oracle_canonical_text
+from count_oracle import count
 from enum_oracle import naive_enumerate
 from labelled_enum import build, labelled_enumerate
 from rkdist import InvalidProfile, canonical_form, core, counts, make_profile, validate_profile
@@ -120,6 +121,14 @@ def test_max_vertices_cuts_match_labelled_route(total):
 def test_counts_up_to_total_10():
     counts_by_total = [len(enumerate_profiles(t).profiles) for t in range(2, 11)]
     assert counts_by_total == [0, 1, 3, 8, 23, 76, 291, 1336, 7525]
+
+
+@pytest.mark.parametrize("max_vertices", [None, 0, 1, 3, 5, 7])
+def test_counts_match_burnside_oracle(max_vertices):
+    # the oracle reads only the posets and their generators
+    for total in range(2, 11):
+        got = len(enumerate_profiles(total, max_vertices).profiles)
+        assert got == count(total, max_vertices), (total, max_vertices)
 
 
 def test_bounded_poset_counts():

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from canon_oracle import position_document, sorting_document
+from closure_oracle import class_index, relation_masks, warshall_close
 from rkdist import (
     InvalidProfile,
     UnknownVertex,
     _format,
     catalog,
     cli,
+    close_preorder,
     core,
     counts,
     is_isomorphic,
@@ -329,34 +331,63 @@ def test_render_dot_depends_only_on_structure():
     assert serialize(p) == serialize(q)
 
 
+_DEEP_SHAPES = ("chain", "cycle", "lasso", "figure-eight")
+
+
 def _deep_documents(n=3000):
-    """A chain of n vertices with its le lines top-down, and one n-member le cycle."""
+    """Names and, per shape, its le pairs, document and class count: a chain of n
+    vertices with its le lines top-down; one n-member le cycle; a lasso, the
+    chain's path whose last vertex points back to its middle; and a figure-eight,
+    two cycles of n/2 members that share the first vertex."""
     names = [f"v{i:04d}" for i in range(n)]
+    mid = n // 2
+    path = [(i, i + 1) for i in range(n - 1)]
+    shapes = {
+        "chain": (path[::-1], [(i, int(i == n - 1)) for i in range(n)], n),
+        "cycle": (path + [(n - 1, 0)], [(0, 1)], 1),
+        "lasso": (path + [(n - 1, mid)], [(i, 0) for i in range(mid)] + [(mid, 1)], mid + 1),
+        "figure-eight": (
+            path[: mid - 1] + [(mid - 1, 0), (0, mid)] + path[mid:] + [(n - 1, 0)],
+            [(0, 1)],
+            1,
+        ),
+    }
     vertices = "".join(f"vertex {v}\n" for v in names)
-    chain_les = "".join(f"le {names[i]} {names[i + 1]}\n" for i in reversed(range(n - 1)))
-    chain_ils = "".join(f"il {v} {int(i == n - 1)}\n" for i, v in enumerate(names))
-    cycle_les = "".join(f"le {names[i]} {names[(i + 1) % n]}\n" for i in range(n))
-    chain = f"rkp 1\n{vertices}{chain_les}{chain_ils}".encode()
-    cycle = f"rkp 1\n{vertices}{cycle_les}il v0000 1\n".encode()
-    return names, chain, cycle
+    documents = {}
+    for shape, (les, ils, classes) in shapes.items():
+        pairs = [(names[a], names[b]) for a, b in les]
+        text = vertices + "".join(f"le {a} {b}\n" for a, b in pairs)
+        text += "".join(f"il {names[i]} {count}\n" for i, count in ils)
+        documents[shape] = pairs, f"rkp 1\n{text}".encode(), classes
+    return names, documents
 
 
 def test_deep_documents_parse_without_recursion():
     # the closure walks with an explicit stack, so depth is bounded by memory only
-    names, chain, cycle = _deep_documents()
-    q = quotient(parse(chain))
-    assert len(q.classes) == 3000
+    names, documents = _deep_documents()
+    q = quotient(parse(documents["chain"][1]))
     assert q.least() == names[0] and q.greatest() == names[-1]
-    assert len(quotient(parse(cycle)).classes) == 1
-    for doc in (chain, cycle):
+    for shape, (_, doc, classes) in documents.items():
+        assert len(quotient(parse(doc)).classes) == classes, shape
         out, err, code = cli.run(["validate", "-"], doc)
         assert code in (0, 1)
         assert b"Traceback" not in out + err
 
 
+@pytest.mark.parametrize("shape", _DEEP_SHAPES)
+def test_deep_shapes_match_closure_oracle(shape):
+    # low-links pass up a long path, then emissions chain back down it
+    names, documents = _deep_documents(300)
+    pairs, _, classes = documents[shape]
+    index = close_preorder(names, pairs)._classes
+    assert index == class_index(warshall_close(relation_masks(names, pairs)[1]))
+    assert len(index.masks) == classes
+
+
 def test_deep_chain_reports_and_renders():
     # the bottom-up order and the depths walk the covers, one per class here
-    names, chain, _ = _deep_documents()
+    names, documents = _deep_documents()
+    chain = documents["chain"][1]
 
     def lines(*argv):
         out, err, code = cli.run([*argv, "-"], chain)
