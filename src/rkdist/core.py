@@ -723,12 +723,17 @@ _Certificate = tuple[tuple[int, int], ...]
 _Leaf = tuple[tuple[int, ...], tuple[int, ...], _Certificate]
 
 
-def _root_cells(keys: Sequence[tuple[int, ...]], down: list[int], up: list[int]) -> list[int]:
-    """The refined partition into initial cells, the root of the search tree."""
+def _initial_cells(keys: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """The initial cells, each the mask of the classes of one key, in increasing key order."""
     initial: dict[tuple[int, ...], int] = {}
     for e, key in enumerate(keys):
         initial[key] = initial.get(key, 0) | 1 << e
-    return _refine([initial[key] for key in sorted(initial)], down, up)
+    return tuple(initial[key] for key in sorted(initial))
+
+
+def _root_cells(keys: Sequence[tuple[int, ...]], down: list[int], up: list[int]) -> list[int]:
+    """The refined partition into initial cells, the root of the search tree."""
+    return _refine(list(_initial_cells(keys)), down, up)
 
 
 def _certificate(order: Sequence[int], covers: list[tuple[int, int]]) -> _Certificate:
@@ -895,6 +900,26 @@ def _next_child(node: _Node, generators: list[list[int]], supports: list[int]) -
     return node.chosen
 
 
+def _least_leaf(
+    initial: Sequence[int],
+    down: list[int],
+    up: list[int],
+    covers: list[tuple[int, int]],
+    seed: Sequence[list[int]],
+) -> tuple[list[int], _Certificate]:
+    """The leaf order and certificate of the least leaf of the tree rooted at the refined
+    initial cells; a discrete root is the only leaf.  ``seed`` are automorphisms that map
+    each initial cell onto itself.  The walk reads no labels, so every labelling with
+    these initial cells has this least leaf."""
+    cells = _refine(list(initial), down, up)
+    if len(cells) == len(down):
+        order = [c.bit_length() - 1 for c in cells]
+        return order, _certificate(order, covers)
+    walk = _leaf_certificates(down, up, covers, cells, seed)
+    cert = min(walk)
+    return walk.least_order(), cert
+
+
 def _least_certificate(
     sizes: list[int],
     ils: list[int],
@@ -903,21 +928,15 @@ def _least_certificate(
     covers: list[tuple[int, int]],
     automorphisms: Sequence[list[int]] = (),
 ) -> _Leaf:
-    """The class sizes and limit counts in leaf order and the least leaf certificate; a
-    discrete root is the only leaf.  Every leaf has those sizes and limit counts, so leaf
-    documents differ only in cover lines, and the least certificate's is the least.
+    """The class sizes and limit counts in leaf order and the least leaf certificate.
+    Every leaf has those sizes and limit counts, so leaf documents differ only in cover
+    lines, and the least certificate's is the least.
 
     ``automorphisms`` are automorphisms of the classes' order, and those of them that
     keep the labels seed the walk."""
-    cells = _root_cells(_cell_keys(sizes, ils, down, up), down, up)
-    if len(cells) == len(sizes):
-        order = [c.bit_length() - 1 for c in cells]
-        cert = _certificate(order, covers)
-    else:
-        seed = _keeping_labels(automorphisms, sizes, ils)
-        walk = _leaf_certificates(down, up, covers, cells, seed)
-        cert = min(walk)
-        order = walk.least_order()
+    initial = _initial_cells(_cell_keys(sizes, ils, down, up))
+    seed = _keeping_labels(automorphisms, sizes, ils)
+    order, cert = _least_leaf(initial, down, up, covers, seed)
     return tuple(sizes[e] for e in order), tuple(ils[e] for e in order), cert
 
 

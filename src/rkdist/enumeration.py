@@ -27,7 +27,17 @@ A candidate whose refined root is not discrete needs a walk of its search
 tree for that certificate.  The walk starts with the poset's generators
 under which the labelling is invariant: they are automorphisms of the
 labelled profile, so it skips their images from the start instead of
-finding them leaf by leaf.  A document is a head, which depends only on
+finding them leaf by leaf.
+
+The loop runs over the class count, then the poset, then the vertex count,
+and each poset finds the least leaf once per ordered initial cells, shared
+by all its candidates, whatever their vertex count.  That changes no byte.
+The walk reads no labels, only the poset's masks and covers, the root and
+the seed.  Equal ordered initial cells refine to the same root.  The seed
+is the same too: an automorphism keeps |down| and |up|, so it keeps the
+labels exactly when it maps each initial cell onto itself.  So the leaf
+order and certificate are the same, and only the sizes and limit counts
+read in that order differ.  A document is a head, which depends only on
 the class sizes in leaf order, and a tail, the cover and il lines; each
 call writes the head of each size vector once.
 """
@@ -42,13 +52,17 @@ from .core import (
     CanonicalProfile,
     InvalidProfile,
     ProfileError,
+    _Certificate,
     _Heads,
     _bits,
+    _cell_keys,
     _certificate,
     _failed_conditions,
     _document,
+    _initial_cells,
+    _keeping_labels,
     _leaf_certificates,
-    _least_certificate,
+    _least_leaf,
     _orbit,
     _root_cells,
 )
@@ -238,14 +252,16 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
     documents = []
     heads: _Heads = {}
     # A single class would be a lone vertex with limit count 0 (V2), total 1.
-    for n in range(2, nmax + 1):
-        for k in range(2, n + 1):
-            labellings = list(_labellings(n, k, total - n))
-            if not labellings:
-                continue
-            for poset in _bounded_posets(k):
-                down, up, covers = poset.down, poset.up, poset.covers
-                for sizes, ils in _one_per_orbit(labellings, poset.generators, _labelling_image):
+    for k in range(2, nmax + 1):
+        per_n = [(n, ls) for n in range(k, nmax + 1) if (ls := list(_labellings(n, k, total - n)))]
+        if not per_n:
+            continue
+        for poset in _bounded_posets(k):
+            down, up, covers, generators = poset.down, poset.up, poset.covers, poset.generators
+            # Ordered initial cells -> the least leaf's order and certificate.
+            leaves: dict[tuple[int, ...], tuple[list[int], _Certificate]] = {}
+            for n, labellings in per_n:
+                for sizes, ils in _one_per_orbit(labellings, generators, _labelling_image):
                     # Admissible by construction; raise if a candidate is not.
                     failed = _failed_conditions(sizes, ils, down, up)
                     if failed:
@@ -254,6 +270,12 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
                     if n == k and not any(ils[:-1]):
                         leaf = sizes, ils, _certificate(poset.order, covers)
                     else:
-                        leaf = _least_certificate(sizes, ils, down, up, covers, poset.generators)
+                        initial = _initial_cells(_cell_keys(sizes, ils, down, up))
+                        found = leaves.get(initial)
+                        if found is None:
+                            seed = _keeping_labels(generators, sizes, ils)
+                            found = leaves[initial] = _least_leaf(initial, down, up, covers, seed)
+                        order, cert = found
+                        leaf = tuple(sizes[e] for e in order), tuple(ils[e] for e in order), cert
                     documents.append(_document(leaf, heads))
     return EnumerationResult(total, tuple(CanonicalProfile(d) for d in sorted(set(documents))))

@@ -118,6 +118,17 @@ def test_max_vertices_cuts_match_labelled_route(total):
         assert enumerate_profiles(total, max_vertices=m) == _labelled(total, m), m
 
 
+@pytest.mark.parametrize("total", range(2, 10))
+def test_vertex_caps_filter_the_uncapped_profiles(total):
+    # every cap from none kept to all kept: the uncapped profiles with at most that
+    # many vertices, in the same order
+    full = enumerate_profiles(total).profiles
+    vertices = [len(parse(p.canonical_text).order.vertices) for p in full]
+    for cap in range(total + 1):
+        kept = tuple(p for p, v in zip(full, vertices) if v <= cap)
+        assert enumerate_profiles(total, cap).profiles == kept, cap
+
+
 def test_counts_up_to_total_10():
     counts_by_total = [len(enumerate_profiles(t).profiles) for t in range(2, 11)]
     assert counts_by_total == [0, 1, 3, 8, 23, 76, 291, 1336, 7525]
@@ -393,7 +404,7 @@ def test_enumeration_seeds_its_walks(monkeypatch):
     monkeypatch.setattr(core, "_leaf_certificates", Counted)
     leaves.append(0)
     seeded = enumerate_profiles(8)
-    monkeypatch.setattr(core, "_keeping_labels", lambda *args: [])
+    monkeypatch.setattr(enumeration, "_keeping_labels", lambda *args: [])
     leaves.append(0)
     assert enumerate_profiles(8) == seeded
     assert 0 < leaves[0] < leaves[1]
@@ -414,7 +425,77 @@ def test_enumeration_walks_are_pinned(monkeypatch):
     monkeypatch.setattr(core, "_leaf_certificates", counted("candidates"))
     _bounded_posets.cache_clear()
     enumerate_profiles(8)
-    assert leaves == {"posets": 147, "candidates": 56}
+    assert leaves == {"posets": 147, "candidates": 36}
+
+
+def _written(total, max_vertices=None):
+    """Each candidate of one enumeration, as (sizes, ils, poset's down masks), with the
+    document written for it; the leaf finder's calls; and the candidates' walks."""
+    candidates, documents, walks = [], [], []
+
+    def failed(sizes, ils, down, up):
+        candidates.append((sizes, ils, down))
+        return core._failed_conditions(sizes, ils, down, up)
+
+    def document(leaf, heads):
+        documents.append(core._document(leaf, heads))
+        return documents[-1]
+
+    class Counted(core._leaf_certificates):
+        def __init__(self, *structure):
+            walks.append(structure)
+            super().__init__(*structure)
+
+    with (
+        mock.patch.object(enumeration, "_failed_conditions", failed),
+        mock.patch.object(enumeration, "_document", document),
+        mock.patch.object(enumeration, "_least_leaf", wraps=core._least_leaf) as finder,
+        mock.patch.object(core, "_leaf_certificates", Counted),
+    ):
+        result = enumerate_profiles(total, max_vertices)
+    assert len(candidates) == len(documents)
+    assert {p.canonical_text for p in result.profiles} == set(documents)
+    return list(zip(candidates, documents)), finder.call_count, len(walks)
+
+
+@functools.lru_cache(maxsize=None)
+def _posets_by_down():
+    """The bounded posets on up to 9 classes, keyed by their strictly-below masks."""
+    return {poset.down: poset for k in range(2, 10) for poset in _bounded_posets(k)}
+
+
+@pytest.mark.parametrize("max_vertices", [None, 3, 5])
+def test_shared_least_leaves_match_unshared_searches(max_vertices):
+    # Candidates of a poset with the same ordered initial cells share one least leaf;
+    # each document must be the one its own search, seeded and unshared, gives.
+    for total in range(2, 10):
+        for (sizes, ils, down), document in _written(total, max_vertices)[0]:
+            poset = _posets_by_down()[down]
+            structure = (sizes, ils, down, poset.up, poset.covers)
+            leaf = core._least_certificate(*structure, poset.generators)
+            assert document == core._document(leaf), (total, sizes, ils, down)
+
+
+def test_each_poset_finds_each_least_leaf_once():
+    # One leaf-finder call per distinct (poset, ordered initial cells) of the
+    # non-uniform candidates, and one walk per such pair whose refined root is
+    # not discrete.
+    written, calls, walks = _written(9)
+    found, walked = set(), set()
+    for (sizes, ils, down), _ in written:
+        k = len(down)
+        if sum(sizes) == k and not any(ils[:-1]):
+            continue
+        up = _posets_by_down()[down].up
+        keys = [(sizes[e], ils[e], down[e].bit_count(), up[e].bit_count()) for e in range(k)]
+        initial = tuple(
+            sum(1 << e for e in range(k) if keys[e] == key) for key in sorted(set(keys))
+        )
+        found.add((down, initial))
+        if len(core._refine(list(initial), list(down), up)) < k:
+            walked.add((down, initial))
+    assert calls == len(found) == 475
+    assert walks == len(walked) == 206
 
 
 def test_enumeration_writes_each_head_once():
@@ -458,14 +539,22 @@ def test_two_certificate_walk_takes_the_posets_least_order():
 
 
 def test_uniform_candidates_skip_the_walk():
-    with mock.patch.object(
-        enumeration, "_least_certificate", wraps=core._least_certificate
-    ) as least:
+    # Each leaf-finder call is put down to the candidate whose cell keys were read last.
+    keyed, reached = [], []
+
+    def cell_keys(sizes, ils, down, up):
+        keyed.append((sizes, ils))
+        return core._cell_keys(sizes, ils, down, up)
+
+    def least_leaf(*args):
+        reached.append(keyed[-1])
+        return core._least_leaf(*args)
+
+    with (
+        mock.patch.object(enumeration, "_cell_keys", cell_keys),
+        mock.patch.object(enumeration, "_least_leaf", wraps=least_leaf) as finder,
+    ):
         result = enumerate_profiles(8)
     assert result == _labelled(8)
-    uniform = [
-        sizes
-        for (sizes, ils, *_), _ in least.call_args_list
-        if set(sizes) == {1} and not any(ils[:-1])
-    ]
-    assert least.call_count > 0 and uniform == []
+    uniform = [sizes for sizes, ils in reached if set(sizes) == {1} and not any(ils[:-1])]
+    assert finder.call_count > 0 and uniform == []
