@@ -558,14 +558,19 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
     return ValidationReport(tuple(conds))
 
 
-def _failed_conditions(
-    sizes: Sequence[int], ils: Sequence[int], down: Sequence[int], up: Sequence[int]
-) -> list[str]:
-    """Codes of the conditions V1-V5 that fail, read straight off class masks."""
+def _extremes(down: Sequence[int], up: Sequence[int]) -> tuple[int | None, int | None]:
+    """The unique least and greatest classes, read off class masks; None where there is
+    no unique one."""
     minimal = [i for i, d in enumerate(down) if not d]
     maximal = [i for i, u in enumerate(up) if not u]
-    least = minimal[0] if len(minimal) == 1 else None
-    greatest = maximal[0] if len(maximal) == 1 else None
+    return minimal[0] if len(minimal) == 1 else None, maximal[0] if len(maximal) == 1 else None
+
+
+def _failed_conditions(
+    sizes: Sequence[int], ils: Sequence[int], least: int | None, greatest: int | None
+) -> list[str]:
+    """Codes of the conditions V1-V5 that fail, given the classes that ``_extremes``
+    finds."""
     failed = []
     if least is None:
         failed.append("V1")
@@ -584,7 +589,7 @@ def _failed(profile: RkProfile) -> list[str]:
     """Codes of the conditions V1-V5 that the profile fails, read off its class index."""
     index = profile.order._classes
     sizes = [m.bit_count() for m in index.masks]
-    return _failed_conditions(sizes, profile.limit_counts, index.down, index.up)
+    return _failed_conditions(sizes, profile.limit_counts, *_extremes(index.down, index.up))
 
 
 def _require_admissible(profile: RkProfile) -> None:
@@ -639,9 +644,7 @@ def _cell_keys(
     sizes: list[int], ils: list[int], down: list[int], up: list[int]
 ) -> list[tuple[int, int, int, int]]:
     """(size, il, |down|, |up|) per class: the keys of the initial cells."""
-    return [
-        (sizes[e], ils[e], down[e].bit_count(), up[e].bit_count()) for e in range(len(sizes))
-    ]
+    return list(zip(sizes, ils, map(int.bit_count, down), map(int.bit_count, up)))
 
 
 def _refine(
@@ -723,12 +726,12 @@ _Certificate = tuple[tuple[int, int], ...]
 _Leaf = tuple[tuple[int, ...], tuple[int, ...], _Certificate]
 
 
-def _initial_cells(keys: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+def _initial_cells(keys: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     """The initial cells, each the mask of the classes of one key, in increasing key order."""
     initial: dict[tuple[int, ...], int] = {}
     for e, key in enumerate(keys):
         initial[key] = initial.get(key, 0) | 1 << e
-    return tuple(initial[key] for key in sorted(initial))
+    return tuple([initial[key] for key in sorted(initial)])
 
 
 def _root_cells(keys: Sequence[tuple[int, ...]], down: list[int], up: list[int]) -> list[int]:
@@ -740,7 +743,7 @@ def _certificate(order: Sequence[int], covers: list[tuple[int, int]]) -> _Certif
     pos = [0] * len(order)
     for p, e in enumerate(order):
         pos[e] = p
-    return tuple(sorted((pos[a], pos[b]) for a, b in covers))
+    return tuple(sorted([(pos[a], pos[b]) for a, b in covers]))
 
 
 def _target(cells: list[int], start: int) -> int | None:
@@ -951,14 +954,16 @@ def _keeping_labels(
     ]
 
 
-# Class sizes -> document head and class representatives.
-_Heads = dict[tuple[int, ...], tuple[bytes, list[str]]]
+# Class sizes -> document head, class representatives, and the il blocks kept for them.
+_Heads = dict[tuple[int, ...], tuple[bytes, list[str], dict[tuple[int, ...], bytes]]]
 
 
-def _document(leaf: _Leaf, heads: _Heads | None = None) -> bytes:
+def _document(leaf: _Leaf, heads: _Heads | None = None, shared_labels: bool = False) -> bytes:
     """Class p named n{p}, or n{p}_{j} per member, with fixed widths: sorted by position.
 
-    The head depends only on the class sizes; ``heads`` keeps the heads written so far."""
+    The head depends only on the class sizes; ``heads`` keeps the heads written so far.
+    With ``shared_labels`` the caller writes these sizes and limit counts, in this order,
+    over many cover lists, and ``heads`` keeps their il lines too."""
     sizes, ils, covers = leaf
     if heads is None:
         heads = {}
@@ -970,9 +975,13 @@ def _document(leaf: _Leaf, heads: _Heads | None = None) -> bytes:
             for p, size in enumerate(sizes)
         ]
         names = [v for ms in members for v in ms]
-        heads[sizes] = _format.head(names, members), [ms[0] for ms in members]
-    head, reps = heads[sizes]
-    return head + _format.tail(reps, ils, covers)
+        heads[sizes] = _format.head(names, members), [ms[0] for ms in members], {}
+    head, reps, blocks = heads[sizes]
+    if not shared_labels:
+        return head + _format.tail(reps, ils, covers)
+    if ils not in blocks:
+        blocks[ils] = _format.tail(reps, ils, ())
+    return head + _format.tail(reps, (), covers) + blocks[ils]
 
 
 def canonical_form(profile: RkProfile) -> CanonicalProfile:

@@ -40,12 +40,22 @@ order and certificate are the same, and only the sizes and limit counts
 read in that order differ.  A document is a head, which depends only on
 the class sizes in leaf order, and a tail, the cover and il lines; each
 call writes the head of each size vector once.
+
+The loop does per candidate only the work that reads its labels.  Per
+class count it lists the labellings of each vertex count, and it builds the
+uniform labelling, whose head and il lines are written once.  Per poset it
+finds the least and greatest classes, which V1 and V3 need, and the
+|down| and |up| counts that key the initial cells.  Per candidate it takes
+the orbit images, checks V1-V5 with the classes found per poset, groups
+the initial cells, and reads its labels in leaf order through a getter
+kept with each least leaf.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .core import (
@@ -55,10 +65,10 @@ from .core import (
     _Certificate,
     _Heads,
     _bits,
-    _cell_keys,
     _certificate,
-    _failed_conditions,
     _document,
+    _extremes,
+    _failed_conditions,
     _initial_cells,
     _keeping_labels,
     _leaf_certificates,
@@ -137,8 +147,9 @@ def _ideal_image(ideal: int, g: list[int]) -> int:
 
 
 def _labelling_image(labelling: _Labelling, g: list[int]) -> _Labelling:
-    sizes, ils = labelling
-    return tuple(sizes[i] for i in g), tuple(ils[i] for i in g)
+    # The labellings have k >= 2 classes, so the getter returns tuples.
+    get = itemgetter(*g)
+    return get(labelling[0]), get(labelling[1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -256,26 +267,32 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
         per_n = [(n, ls) for n in range(k, nmax + 1) if (ls := list(_labellings(n, k, total - n)))]
         if not per_n:
             continue
+        uniform = (1,) * k, (0,) * (k - 1) + (total - k,)
         for poset in _bounded_posets(k):
             down, up, covers, generators = poset.down, poset.up, poset.covers, poset.generators
-            # Ordered initial cells -> the least leaf's order and certificate.
-            leaves: dict[tuple[int, ...], tuple[list[int], _Certificate]] = {}
+            least, greatest = _extremes(down, up)
+            below, above = list(map(int.bit_count, down)), list(map(int.bit_count, up))
+            # Ordered initial cells -> a getter of labels in the least leaf's order, and
+            # its certificate.
+            leaves: dict[tuple[int, ...], tuple[itemgetter, _Certificate]] = {}
             for n, labellings in per_n:
-                for sizes, ils in _one_per_orbit(labellings, generators, _labelling_image):
+                for labelling in _one_per_orbit(labellings, generators, _labelling_image):
+                    sizes, ils = labelling
                     # Admissible by construction; raise if a candidate is not.
-                    failed = _failed_conditions(sizes, ils, down, up)
+                    failed = _failed_conditions(sizes, ils, least, greatest)
                     if failed:
                         raise InvalidProfile("profile fails " + ", ".join(failed))
                     # A uniform candidate's search tree is the poset's own.
-                    if n == k and not any(ils[:-1]):
+                    if labelling == uniform:
                         leaf = sizes, ils, _certificate(poset.order, covers)
-                    else:
-                        initial = _initial_cells(_cell_keys(sizes, ils, down, up))
-                        found = leaves.get(initial)
-                        if found is None:
-                            seed = _keeping_labels(generators, sizes, ils)
-                            found = leaves[initial] = _least_leaf(initial, down, up, covers, seed)
-                        order, cert = found
-                        leaf = tuple(sizes[e] for e in order), tuple(ils[e] for e in order), cert
-                    documents.append(_document(leaf, heads))
-    return EnumerationResult(total, tuple(CanonicalProfile(d) for d in sorted(set(documents))))
+                        documents.append(_document(leaf, heads, shared_labels=True))
+                        continue
+                    initial = _initial_cells(zip(sizes, ils, below, above))
+                    found = leaves.get(initial)
+                    if found is None:
+                        seed = _keeping_labels(generators, sizes, ils)
+                        order, cert = _least_leaf(initial, down, up, covers, seed)
+                        found = leaves[initial] = itemgetter(*order), cert
+                    in_order, cert = found
+                    documents.append(_document((in_order(sizes), in_order(ils), cert), heads))
+    return EnumerationResult(total, tuple(map(CanonicalProfile, sorted(set(documents)))))

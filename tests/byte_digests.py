@@ -5,9 +5,11 @@ enumerator with the library's own ``canonical_form``, so a writer change
 that altered bytes on both sides would pass them.  These digests were taken
 before the document writer stopped sorting its input, and the starred
 products' digest before ``pareto_product`` stopped building cover masks,
-and the command digests before the plain reader dropped its layout regular
-expression; any change to the bytes of a document, canonical or serialized,
-or to what a command prints about a product document, fails here.
+the command digests before the plain reader dropped its layout regular
+expression, and the total-10 digests before the candidate loop took its
+per-poset and per-k work out; any change to the bytes of a document,
+canonical or serialized, or to what a command prints about a product
+document, fails here.
 The module needs only the standard library, so it runs on interpreters
 without pytest:
 
@@ -33,6 +35,13 @@ ENUMERATE_DIGESTS = {
     4: "b9dc1194141bec68a8b8800dc6ce7b388f7050c3ef34b2aa343760bd9e29e40f",
     5: "a8317b732af1d2f11b5bb73e37b187d4f895db7c0bba6a9612b05a879a2afa84",
     6: "4551bd326f892b52d16293eac20a5e19f9fa35a4412724e9d84ce87e9764ba18",
+}
+
+# Per --max-vertices cut, over `enumerate --total 10` alone: 2451 of its 7525
+# candidates are uniform, one vertex per class and a limit count on the top alone.
+TOTAL_10_DIGESTS = {
+    None: "f2bf516411a4508db35d743d109f3e9f4f8741d9cbc30207b27740f5ab8ef506",
+    5: "410bec2e182766c8002c1f6aeeca43df12344db9adddc344f42a2ce151456cb2",
 }
 
 # serialize then canonical_form of each base entry, of each ordered pair's
@@ -83,9 +92,9 @@ STARRED = (
 )
 
 
-def enumerate_digest(max_vertices):
+def enumerate_digest(max_vertices, totals=TOTALS):
     h = hashlib.sha256()
-    for total in TOTALS:
+    for total in totals:
         argv = ["enumerate", "--total", str(total)]
         if max_vertices is not None:
             argv += ["--max-vertices", str(max_vertices)]
@@ -93,6 +102,10 @@ def enumerate_digest(max_vertices):
         assert code == 0 and err == b""
         h.update(out)
     return h.hexdigest()
+
+
+def total_10_digest(max_vertices):
+    return enumerate_digest(max_vertices, [10])
 
 
 def catalog_digest(kind):
@@ -129,6 +142,7 @@ def command_digest(command):
 
 if __name__ == "__main__":
     checks = [(m, enumerate_digest, ENUMERATE_DIGESTS) for m in ENUMERATE_DIGESTS]
+    checks += [(m, total_10_digest, TOTAL_10_DIGESTS) for m in TOTAL_10_DIGESTS]
     checks += [(kind, catalog_digest, CATALOG_DIGESTS) for kind in CATALOG_DIGESTS]
     checks += [(command, command_digest, COMMAND_DIGESTS) for command in COMMAND_DIGESTS]
     mismatches = 0

@@ -6,15 +6,22 @@ from byte_digests import (
     CATALOG_DIGESTS,
     COMMAND_DIGESTS,
     ENUMERATE_DIGESTS,
+    TOTAL_10_DIGESTS,
     catalog_digest,
     command_digest,
     enumerate_digest,
+    total_10_digest,
 )
 
 
 @pytest.mark.parametrize("max_vertices", list(ENUMERATE_DIGESTS))
 def test_enumeration_bytes_unchanged(max_vertices):
     assert enumerate_digest(max_vertices) == ENUMERATE_DIGESTS[max_vertices]
+
+
+@pytest.mark.parametrize("max_vertices", list(TOTAL_10_DIGESTS))
+def test_total_10_bytes_unchanged(max_vertices):
+    assert total_10_digest(max_vertices) == TOTAL_10_DIGESTS[max_vertices]
 
 
 @pytest.mark.parametrize("kind", list(CATALOG_DIGESTS))

@@ -252,6 +252,24 @@ def test_inadmissible_candidate_raises(monkeypatch):
         enumerate_profiles(5)
 
 
+@pytest.mark.parametrize(
+    "n, labelling, code",
+    [
+        (3, ((1, 1, 1), (1, 0, 1)), "V2"),  # the bottom class has limit count 1
+        (4, ((1, 2, 1), (0, 0, 1)), "V5"),  # a 2-vertex class has limit count 0
+    ],
+)
+def test_inadmissible_labelling_raises(monkeypatch, n, labelling, code):
+    # The least and greatest classes are read once per poset; the label conditions
+    # are still checked on every candidate.
+    def labellings(m, k, budget):
+        return iter([labelling] if (m, k) == (n, 3) else [])
+
+    monkeypatch.setattr(enumeration, "_labellings", labellings)
+    with pytest.raises(InvalidProfile, match=f"^profile fails {code}$"):
+        enumerate_profiles(5)
+
+
 # A 4-cycle and an 8-cycle of lower and upper classes between a bottom and a
 # top: refinement splits nothing, so where the canonical search starts, and
 # with it its first leaf, depends on the labelling.
@@ -431,14 +449,18 @@ def test_enumeration_walks_are_pinned(monkeypatch):
 def _written(total, max_vertices=None):
     """Each candidate of one enumeration, as (sizes, ils, poset's down masks), with the
     document written for it; the leaf finder's calls; and the candidates' walks."""
-    candidates, documents, walks = [], [], []
+    posets, candidates, documents, walks = [], [], [], []
 
-    def failed(sizes, ils, down, up):
-        candidates.append((sizes, ils, down))
-        return core._failed_conditions(sizes, ils, down, up)
+    def extremes(down, up):
+        posets.append(down)
+        return core._extremes(down, up)
 
-    def document(leaf, heads):
-        documents.append(core._document(leaf, heads))
+    def failed(sizes, ils, least, greatest):
+        candidates.append((sizes, ils, posets[-1]))
+        return core._failed_conditions(sizes, ils, least, greatest)
+
+    def document(leaf, heads, **kwargs):
+        documents.append(core._document(leaf, heads, **kwargs))
         return documents[-1]
 
     class Counted(core._leaf_certificates):
@@ -447,6 +469,7 @@ def _written(total, max_vertices=None):
             super().__init__(*structure)
 
     with (
+        mock.patch.object(enumeration, "_extremes", extremes),
         mock.patch.object(enumeration, "_failed_conditions", failed),
         mock.patch.object(enumeration, "_document", document),
         mock.patch.object(enumeration, "_least_leaf", wraps=core._least_leaf) as finder,
@@ -539,19 +562,20 @@ def test_two_certificate_walk_takes_the_posets_least_order():
 
 
 def test_uniform_candidates_skip_the_walk():
-    # Each leaf-finder call is put down to the candidate whose cell keys were read last.
+    # Each leaf-finder call is put down to the candidate whose initial cells were read last.
     keyed, reached = [], []
 
-    def cell_keys(sizes, ils, down, up):
-        keyed.append((sizes, ils))
-        return core._cell_keys(sizes, ils, down, up)
+    def initial_cells(keys):
+        keys = list(keys)
+        keyed.append(tuple(zip(*keys))[:2])
+        return core._initial_cells(keys)
 
     def least_leaf(*args):
         reached.append(keyed[-1])
         return core._least_leaf(*args)
 
     with (
-        mock.patch.object(enumeration, "_cell_keys", cell_keys),
+        mock.patch.object(enumeration, "_initial_cells", initial_cells),
         mock.patch.object(enumeration, "_least_leaf", wraps=least_leaf) as finder,
     ):
         result = enumerate_profiles(8)

@@ -37,6 +37,7 @@ from rkdist import catalog, cli
 from rkdist.core import (
     NAME_CHAR,
     _bits,
+    _extremes,
     _failed_conditions,
     _require_admissible,
     mutual_classes,
@@ -406,7 +407,7 @@ def test_mask_conditions_agree_with_validation_report(profile):
     ils = [c.limit_count for c in q.classes]
     report = validate_profile(profile)
     expected = [c.code for c in report.conditions if not c.passed and not c.informational]
-    assert _failed_conditions(sizes, ils, q.down, q.up) == expected
+    assert _failed_conditions(sizes, ils, *_extremes(q.down, q.up)) == expected
     if expected:
         with pytest.raises(InvalidProfile) as info:
             _require_admissible(profile)
