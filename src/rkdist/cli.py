@@ -3,12 +3,19 @@
 Exit codes: 0 success, 1 a validation or check failed, 2 usage, file, parse
 and other library errors.  All output is deterministic given the arguments
 and file contents.
+
+A command is parsed once, by its own parser; only an argv that names no
+command, or leaves words over, goes through the top-level parser, which
+keeps its usage and wording.  `run` writes usage, help and error messages
+into its own buffers and leaves `sys.stdout` and `sys.stderr` alone, so
+runs may go on in several threads at once.  An argument that is not UTF-8
+comes back as its bytes in error messages.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import contextvars
 import enum
 import functools
 import io as _io
@@ -218,14 +225,39 @@ def _nonnegative_integer(text: str) -> int:
     return value
 
 
+# The (stdout, stderr) buffers of the `run` call under way in this context.
+_STREAMS: contextvars.ContextVar[tuple[_io.BytesIO, _io.BytesIO]] = contextvars.ContextVar(
+    "rkdist_cli_streams"
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Writes usage, help and errors into the running `run`'s buffers, as `_emit` does.
+
+    Outside `run` it writes where argparse does.
+    """
+
+    commands: dict[str, _Parser]  # the top-level parser's: each command's parser, by name
+
+    def _print_message(self, message, file=None):
+        streams = _STREAMS.get(None)
+        if streams is None:
+            super()._print_message(message, file)
+        elif message:
+            out, err = streams
+            buffer = out if file is sys.stdout else err  # help to stdout, the rest to stderr
+            buffer.write(message.encode("utf-8", "surrogateescape"))
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rkdist",
         description="Countable-model distribution calculus over finite Rudin-Keisler preorders.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("validate", help="check admissibility conditions V1-V6")
     p.add_argument("file")
@@ -287,45 +319,62 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with its command's parser alone, when argv[0] names one.
+
+    Any other argv, and one that leaves words over, goes through the
+    top-level parser, so its usage and "unrecognized arguments" message
+    stay as they are.
+    """
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv: list[str], stdin: bytes | Callable[[], bytes] = b"") -> tuple[bytes, bytes, int]:
     """Run one command; returns (stdout, stderr, exit code).
 
     An input file "-" reads stdin: the bytes given, or those the callable
-    returns, called once and only if a command loads "-".
+    returns, called once and only if a command loads "-".  The command is
+    parsed once, by its own parser.  Usage, help and error messages go into
+    the returned bytes, never through `sys.stdout` or `sys.stderr`, which
+    stay as they are, so runs may go on in several threads at once.  An
+    argument that is not UTF-8 (lone surrogates, as `sys.argv` holds it)
+    comes back as its bytes.
     """
     read_stdin = functools.cache(stdin) if callable(stdin) else lambda: stdin
     out = _io.BytesIO()
-    err_buffer = _io.BytesIO()
-    err_text = _io.TextIOWrapper(err_buffer, encoding="utf-8", newline="\n")
-    out_text = _io.TextIOWrapper(out, encoding="utf-8", newline="\n")
+    err = _io.BytesIO()
     code: int
+    token = _STREAMS.set((out, err))
     try:
-        with contextlib.redirect_stdout(out_text), contextlib.redirect_stderr(err_text):
-            try:
-                args = _build_parser().parse_args(argv)
-                code = int(args.func(args, read_stdin, out, err_buffer))
-            except SystemExit as exc:  # argparse usage errors and --help
-                code = int(exc.code or 0)
-            except (InvalidProfile, product.FactorMismatch) as exc:
-                _emit(err_buffer, f"error: {exc}")
-                code = ExitStatus.CHECK_FAILED
-            except (_Usage, ProfileError) as exc:
-                _emit(err_buffer, f"error: {exc}")
-                code = ExitStatus.USAGE
-            except ValueError as exc:
-                # Counts add up and multiply in products past the interpreter's
-                # limit on the digits str(int) writes; any other ValueError is a bug.
-                if "integer string conversion" not in str(exc):
-                    raise
-                out.seek(0)
-                out.truncate()
-                limit = sys.get_int_max_str_digits()
-                _emit(err_buffer, f"error: a count has more than {limit} digits, too many to write")
-                code = ExitStatus.USAGE
+        args = _parse(argv)
+        code = int(args.func(args, read_stdin, out, err))
+    except SystemExit as exc:  # argparse usage errors and --help
+        code = int(exc.code or 0)
+    except (InvalidProfile, product.FactorMismatch) as exc:
+        _emit(err, f"error: {exc}")
+        code = ExitStatus.CHECK_FAILED
+    except (_Usage, ProfileError) as exc:
+        _emit(err, f"error: {exc}")
+        code = ExitStatus.USAGE
+    except ValueError as exc:
+        # Counts add up and multiply in products past the interpreter's
+        # limit on the digits str(int) writes; any other ValueError is a bug.
+        if "integer string conversion" not in str(exc):
+            raise
+        out.seek(0)
+        out.truncate()
+        limit = sys.get_int_max_str_digits()
+        _emit(err, f"error: a count has more than {limit} digits, too many to write")
+        code = ExitStatus.USAGE
     finally:
-        out_text.flush()
-        err_text.flush()
-    return out.getvalue(), err_buffer.getvalue(), code
+        _STREAMS.reset(token)
+    return out.getvalue(), err.getvalue(), code
 
 
 def main() -> None:

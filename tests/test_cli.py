@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import rkdist
 from rkdist import core, make_profile, product
 from rkdist.catalog import chain_profile, get
-from rkdist.cli import ORACLE_BUDGET, run
+from rkdist.cli import ORACLE_BUDGET, _build_parser, run
 from rkdist.core import MAX_VERTICES
 from rkdist.io import serialize
 
@@ -259,6 +260,58 @@ def test_path_not_valid_utf8_exits_2(tmp_path):
     out, err, code = run(["validate", path])
     assert (out, code) == (b"", 2)
     assert err.startswith(b"error: cannot read ") and b"a\xffb.rkp" in err
+
+
+@pytest.mark.parametrize(
+    "argv, leftover",
+    [
+        (["report", "list", "a\udcffb"], b"a\xffb"),
+        (["iso", "x", "y", "z\udcff"], b"z\xff"),
+        (["report", "2", "--\udcff"], b"--\xff"),
+    ],
+    ids=["report-list", "iso", "report-option"],
+)
+def test_unrecognized_argument_not_valid_utf8_exits_2(argv, leftover):
+    usage = _build_parser().format_usage().encode()
+    message = b"rkdist: error: unrecognized arguments: " + leftover + b"\n"
+    assert run(argv) == (b"", usage + message, 2)
+
+
+def test_python_m_rkdist_writes_back_an_argument_not_valid_utf8():
+    pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    with _python_m_rkdist([b"iso", b"x", b"y", b"z\xff"], **pipes) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (out, proc.returncode) == (b"", 2)
+    assert err.endswith(b"\nrkdist: error: unrecognized arguments: z\xff\n")
+
+
+def test_concurrent_runs_keep_their_own_messages():
+    names = [f"x{i}" for i in range(6)]
+    results = {name: [] for name in names}
+
+    def work(name):
+        for _ in range(200):
+            results[name].append(run(["enumerate", "--total", name]))
+
+    threads = [threading.Thread(target=work, args=(name,)) for name in names]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for name in names:
+        assert len(results[name]) == 200
+        for out, err, code in results[name]:
+            assert (out, code) == (b"", 2)
+            assert err.endswith(f"error: argument --total: expected an integer, got '{name}'\n".encode())
+            assert [other for other in names if other.encode() in err] == [name]
+
+
+def test_usage_error_leaves_sys_streams_alone():
+    stdout, stderr = sys.stdout, sys.stderr
+    out, err, code = run(["enumerate", "--total", "x"])
+    assert code == 2 and err.startswith(b"usage: rkdist enumerate")
+    assert run(["--help"])[2] == 0
+    assert sys.stdout is stdout and sys.stderr is stderr
 
 
 def test_parse_error_exits_2(tmp_path):

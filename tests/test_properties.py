@@ -12,6 +12,7 @@ from closure_oracle import class_index, relation_masks, warshall_close
 from enum_oracle import iso_by_permutation
 from lattice_oracle import boolean_by_tables as _oracle_is_boolean
 from lattice_oracle import lattice_tables as _oracle_lattice_tables
+from parse_paths import ARGVS, parse_both
 from rkdist import (
     InvalidProfile,
     Preorder,
@@ -655,6 +656,8 @@ _CLI_WORDS = [
     "enumerate", "check", "iso", "--factor", "-o", "--output", "--format", "dot", "ascii",
     "--param", "--total", "--max-vertices", "--lattice", "--boolean", "--monotone", "--help",
     "fig1a", "param.chain2", "param.ex11", "k=2", "m=1", "k=0", "-", "a\x00b",
+    # Not UTF-8, as sys.argv holds such bytes; abbreviations; and "--".
+    "a\udcffb", "--\udcff", "--tot", "--form", "--",
     # No integer above 8, so no example starts a long enumeration.
     "-1", "0", "1", "2", "3", "5", "8",
 ]
@@ -680,3 +683,16 @@ def test_cli_never_raises_on_drawn_argv(cli_files, data):
         os.chdir(cwd)
     assert isinstance(out, bytes) and isinstance(err, bytes)
     assert code in (0, 1, 2)
+
+
+@given(st.lists(st.sampled_from(_CLI_WORDS + ["x.rkp"]), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_per_command_parse_agrees_with_the_top_level_parser(argv):
+    per_command, top_level = parse_both(argv)
+    assert per_command == top_level
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=repr)
+def test_per_command_parse_agrees_on_the_fixed_argv_lists(argv):
+    per_command, top_level = parse_both(argv)
+    assert per_command == top_level
