@@ -19,6 +19,7 @@ import contextvars
 import enum
 import functools
 import io as _io
+import itertools
 import re
 import sys
 from collections.abc import Callable
@@ -31,7 +32,6 @@ from .core import (
     _require_admissible,
     counts,
     is_isomorphic,
-    quotient,
     validate_profile,
 )
 
@@ -176,10 +176,8 @@ def _cmd_catalog(args, stdin, out, err) -> int:
 def _cmd_enumerate(args, stdin, out, err) -> int:
     result = enumeration.enumerate_profiles(args.total, args.max_vertices)
     _emit(out, str(len(result.profiles)))
-    for i, cf in enumerate(result.profiles):
-        if i:
-            _emit(out, "---")
-        out.write(cf.canonical_text)
+    framed = zip(itertools.repeat(b"---\n"), (cf.canonical_text for cf in result.profiles))
+    out.writelines(itertools.islice(itertools.chain.from_iterable(framed), 1, None))
     return ExitStatus.OK
 
 
@@ -190,12 +188,12 @@ def _cmd_check(args, stdin, out, err) -> int:
         _emit(out, f"size={size_flag} limit={limit_flag}")
         return ExitStatus.OK
     _require_admissible(profile)
-    q = quotient(profile)
+    index = profile.order._classes
     if args.lattice:
-        ok = product.is_lattice(q)
+        ok = product._is_lattice(index.down, index.up, index.covers)
     else:
         try:
-            ok = product.is_boolean_lattice(q)
+            ok = product._is_boolean_lattice(index.down, index.up, index.covers)
         except product.NotALattice:
             _emit(err, "not a lattice")
             ok = False

@@ -470,9 +470,7 @@ def quotient(profile: RkProfile) -> QuotientPoset:
     """Collapse mutual domination; class X sits below Y iff its members are dominated by Y's.
 
     The quotient is the class index with names; operations that print no class
-    representative read the index and never build it, except ``check --lattice``
-    and ``--boolean``: ``cli._cmd_check`` hands ``quotient()`` to ``is_lattice``
-    (``is_boolean_lattice`` calls it), which reads ``q.greatest()``.
+    representative read the index and never build it.
     """
     return profile._quotient
 
@@ -509,44 +507,47 @@ def validate_profile(profile: RkProfile) -> ValidationReport:
     class has a positive limit count; V5 every multi-member class has a
     positive limit count; V6 (informational) the total model count is at
     least 2.  The verdicts on V1-V5 are those of :func:`_failed`, which every
-    operation's admissibility check reads too; this only words them.
+    operation's admissibility check reads too; this only words them, naming
+    off the class index just the classes that the words mention.
     """
     failed = _failed(profile)
-    q = profile._quotient
-    nverts = len(profile.order.names)
-    minimal = [c for c, d in zip(q.classes, q.down) if not d]
-    maximal = [c for c, u in zip(q.classes, q.up) if not u]
-    least = minimal[0] if len(minimal) == 1 else None
-    greatest = maximal[0] if len(maximal) == 1 else None
+    index, names, ils = profile.order._classes, profile.order.names, profile.limit_counts
+
+    def name(c: int) -> str:
+        return names[_least(index.masks[c])]
+
+    least, greatest = _extremes(index.down, index.up)
     if least is None:
-        v1 = f"no unique least class (minimal: {', '.join(c.representative for c in minimal)})"
+        minimal = (name(c) for c, d in enumerate(index.down) if not d)
+        v1 = f"no unique least class (minimal: {', '.join(minimal)})"
         v2 = "no unique least class"
     else:
-        v1 = f"least class {least.representative}"
+        v1 = f"least class {name(least)}"
         if "V2" not in failed:
-            v2 = f"least class {least.representative} is a singleton with limit count 0"
-        elif least.size != 1:
-            v2 = f"least class {least.representative} has size {least.size}"
+            v2 = f"least class {name(least)} is a singleton with limit count 0"
+        elif (size := index.masks[least].bit_count()) != 1:
+            v2 = f"least class {name(least)} has size {size}"
         else:
-            v2 = f"least class {least.representative} has limit count {least.limit_count}"
+            v2 = f"least class {name(least)} has limit count {ils[least]}"
     if greatest is None:
-        v3 = f"no unique greatest class (maximal: {', '.join(c.representative for c in maximal)})"
+        maximal = (name(c) for c, u in enumerate(index.up) if not u)
+        v3 = f"no unique greatest class (maximal: {', '.join(maximal)})"
     else:
-        v3 = f"greatest class {greatest.representative}"
-    if nverts <= 1:
+        v3 = f"greatest class {name(greatest)}"
+    if len(names) <= 1:
         v4 = "single vertex, nothing required"
     elif greatest is None:
         v4 = "no unique greatest class"
     else:
-        v4 = f"greatest class {greatest.representative} has limit count {greatest.limit_count}"
+        v4 = f"greatest class {name(greatest)} has limit count {ils[greatest]}"
     if "V5" in failed:
-        bad = next(c for c in q.classes if c.size > 1 and not c.limit_count)
-        v5 = f"class {bad.representative} has size {bad.size} but limit count 0"
+        bad = next(c for c, m in enumerate(index.masks) if m & (m - 1) and not ils[c])
+        v5 = f"class {name(bad)} has size {index.masks[bad].bit_count()} but limit count 0"
     else:
         v5 = "every multi-member class has a positive limit count"
     details = {"V1": v1, "V2": v2, "V3": v3, "V4": v4, "V5": v5}
     conds = [ConditionReport(code, code not in failed, text) for code, text in details.items()]
-    total = nverts + sum(profile.limit_counts)
+    total = len(names) + sum(ils)
     conds.append(
         ConditionReport(
             "V6",

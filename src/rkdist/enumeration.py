@@ -10,8 +10,8 @@ every such poset, each composition of the vertex budget into class sizes
 Profiles on non-isomorphic posets are never isomorphic, and two labellings
 of one poset give isomorphic profiles exactly when an automorphism of the
 poset maps one onto the other.  So the candidates are the labellings least
-in their orbits, one per profile.  Each is checked for V1-V5 on its masks
-and written once, as the document of its least leaf certificate.
+in their orbits, one per profile.  Each is written once, as the document
+of its least leaf certificate.
 
 A uniform candidate, one vertex per class and a limit count on the top
 alone, takes the poset's own least leaf order, which canonical
@@ -41,14 +41,15 @@ read in that order differ.  A document is a head, which depends only on
 the class sizes in leaf order, and a tail, the cover and il lines; each
 call writes the head of each size vector once.
 
-The loop does per candidate only the work that reads its labels.  Per
-class count it lists the labellings of each vertex count, and it builds the
-uniform labelling, whose head and il lines are written once.  Per poset it
-finds the least and greatest classes, which V1 and V3 need, and the
-|down| and |up| counts that key the initial cells.  Per candidate it takes
-the orbit images, checks V1-V5 with the classes found per poset, groups
-the initial cells, and reads its labels in leaf order through a getter
-kept with each least leaf.
+The loop does per candidate only the work that needs both the poset and the
+labels.  Every poset numbers its least class 0 and its greatest k - 1, so
+V1-V5 read the labels alone.  Per class count the loop checks them on each
+labelling of each vertex count and builds the uniform labelling, whose head
+and il lines are written once.  Per poset two mask comparisons check that
+numbering, and, unless the one candidate is uniform, it counts the |down|
+and |up| that key the initial cells.  Per candidate it takes the orbit
+images, groups the initial cells, and reads its labels in leaf order through
+a getter kept with each least leaf.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _one_per_orbit(
 
     The group acts by ``image``, and the items must be closed under it.
     """
-    if not generators:
+    if len(items) < 2 or not generators:
         return items
     kept = []
     done: set[_Item] = set()
@@ -267,21 +268,26 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
         per_n = [(n, ls) for n in range(k, nmax + 1) if (ls := list(_labellings(n, k, total - n)))]
         if not per_n:
             continue
+        # Raise on a labelling that fails V1-V5 with least class 0 and greatest k - 1.
+        checks = (_failed_conditions(*ls, 0, k - 1) for _, lss in per_n for ls in lss)
+        if failed := next(filter(None, checks), None):
+            raise InvalidProfile("profile fails " + ", ".join(failed))
         uniform = (1,) * k, (0,) * (k - 1) + (total - k,)
+        keyed = per_n != [(k, [uniform])]  # k = total - 1 has the uniform candidate alone
+        full = (1 << k) - 1
         for poset in _bounded_posets(k):
             down, up, covers, generators = poset.down, poset.up, poset.covers, poset.generators
-            least, greatest = _extremes(down, up)
-            below, above = list(map(int.bit_count, down)), list(map(int.bit_count, up))
+            if up[0] != full ^ 1 or down[-1] != full >> 1:  # not bounded by 0 and k - 1
+                bad = ", ".join(c for c, e in zip(("V1", "V3"), _extremes(down, up)) if e is None)
+                raise InvalidProfile(f"profile fails {bad or 'the numbering 0..k-1'}")
+            if keyed:
+                below, above = list(map(int.bit_count, down)), list(map(int.bit_count, up))
             # Ordered initial cells -> a getter of labels in the least leaf's order, and
             # its certificate.
             leaves: dict[tuple[int, ...], tuple[itemgetter, _Certificate]] = {}
             for n, labellings in per_n:
                 for labelling in _one_per_orbit(labellings, generators, _labelling_image):
                     sizes, ils = labelling
-                    # Admissible by construction; raise if a candidate is not.
-                    failed = _failed_conditions(sizes, ils, least, greatest)
-                    if failed:
-                        raise InvalidProfile("profile fails " + ", ".join(failed))
                     # A uniform candidate's search tree is the poset's own.
                     if labelling == uniform:
                         leaf = sizes, ils, _certificate(poset.order, covers)

@@ -203,13 +203,18 @@ def decomposition(
     return ProductDecomposition(factor_reports, product_report, tuple(table))
 
 
-def _reflexive(strict: tuple[int, ...]) -> list[int]:
+def _reflexive(strict: Sequence[int]) -> list[int]:
     """Strictly-above (or below) class masks with each class added to its own mask."""
     return [m | 1 << i for i, m in enumerate(strict)]
 
 
 def is_lattice(q: QuotientPoset) -> bool:
-    """True iff every pair of classes has a unique join and a unique meet.
+    """True iff every pair of classes has a unique join and a unique meet."""
+    return _is_lattice(q.down, q.up, q.upper_covers)
+
+
+def _is_lattice(down: Sequence[int], up: Sequence[int], covers: Sequence[int]) -> bool:
+    """:func:`is_lattice` on class masks: strictly below, strictly above and upper covers.
 
     A finite poset with a greatest class is a lattice once every pair has a
     meet: the join of x and y is the meet of their common upper bounds, of
@@ -228,16 +233,16 @@ def is_lattice(q: QuotientPoset) -> bool:
     with more is not a lattice, and the test never makes more meet checks
     than testing all pairs does.
     """
-    if q.greatest() is None:
+    if up.count(0) != 1:  # no greatest class
         return False
-    lower: list[list[int]] = [[] for _ in q.upper_covers]
-    for c, m in enumerate(q.upper_covers):
+    lower: list[list[int]] = [[] for _ in covers]
+    for c, m in enumerate(covers):
         for d in _bits(m):
             lower[d].append(c)
     k = len(lower)
     if sum(len(cs) * (len(cs) - 1) for cs in lower) > k * (k - 1):
         return False
-    down = _reflexive(q.down)
+    down = _reflexive(down)
     at = set(down)
     return all(
         down[a] & down[b] in at for cs in lower for i, a in enumerate(cs) for b in cs[i + 1 :]
@@ -245,7 +250,12 @@ def is_lattice(q: QuotientPoset) -> bool:
 
 
 def is_boolean_lattice(q: QuotientPoset) -> bool:
-    """True iff the lattice is Boolean; raises on non-lattices.
+    """True iff the lattice is Boolean; raises on non-lattices."""
+    return _is_boolean_lattice(q.down, q.up, q.upper_covers)
+
+
+def _is_boolean_lattice(down: Sequence[int], up: Sequence[int], covers: Sequence[int]) -> bool:
+    """:func:`is_boolean_lattice` on the class masks that :func:`_is_lattice` reads.
 
     A finite lattice is Boolean iff mapping each class to the set of atoms
     below it is a bijection onto all sets of atoms that reflects the order.
@@ -253,11 +263,11 @@ def is_boolean_lattice(q: QuotientPoset) -> bool:
     classes whose atoms are among its own, 2**(its atoms) of them under a
     bijection; the order is reflected exactly when the two have equal sizes.
     """
-    if not is_lattice(q):
+    if not _is_lattice(down, up, covers):
         raise NotALattice("quotient is not a lattice")
-    down = _reflexive(q.down)
-    bottom = 1 << q.down.index(0)
-    atoms = sum(1 << i for i, d in enumerate(q.down) if d == bottom)
+    bottom = 1 << down.index(0)
+    atoms = sum(1 << i for i, d in enumerate(down) if d == bottom)
+    down = _reflexive(down)
     below = [d & atoms for d in down]
     return (
         len(down) == 1 << atoms.bit_count()

@@ -6,16 +6,19 @@ that altered bytes on both sides would pass them.  These digests were taken
 before the document writer stopped sorting its input, and the starred
 products' digest before ``pareto_product`` stopped building cover masks,
 the command digests before the plain reader dropped its layout regular
-expression, and the total-10 digests before the candidate loop took its
-per-poset and per-k work out; any change to the bytes of a document,
+expression, the total-10 digests before the candidate loop took its
+per-poset and per-k work out, and the total-11 digest before V1-V5 were
+checked once per labelling; any change to the bytes of a document,
 canonical or serialized, or to what a command prints about a product
 document, fails here.
 The module needs only the standard library, so it runs on interpreters
 without pytest:
 
     PYTHONPATH=src python tests/byte_digests.py   # check every digest; exit 1 on a mismatch
+    PYTHONPATH=src python tests/byte_digests.py --total-11   # and total 11 (about 3 s more)
 """
 
+import argparse
 import hashlib
 import os
 import sys
@@ -42,6 +45,11 @@ ENUMERATE_DIGESTS = {
 TOTAL_10_DIGESTS = {
     None: "f2bf516411a4508db35d743d109f3e9f4f8741d9cbc30207b27740f5ab8ef506",
     5: "410bec2e182766c8002c1f6aeeca43df12344db9adddc344f42a2ce151456cb2",
+}
+
+# `enumerate --total 11` alone, uncapped: 53531 profiles.
+TOTAL_11_DIGESTS = {
+    None: "caaa9ca373aa3d84c6ee669eb09bdfdef5a5c3297cc7011dd586f00e5c9e9e7c",
 }
 
 # serialize then canonical_form of each base entry, of each ordered pair's
@@ -108,6 +116,10 @@ def total_10_digest(max_vertices):
     return enumerate_digest(max_vertices, [10])
 
 
+def total_11_digest(max_vertices):
+    return enumerate_digest(max_vertices, [11])
+
+
 def catalog_digest(kind):
     base = [get(name) for name in BASE_NAMES]
     if kind == "base":
@@ -141,8 +153,15 @@ def command_digest(command):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--total-11", action="store_true", help="also check `enumerate --total 11` (about 3 s)"
+    )
+    args = parser.parse_args()
     checks = [(m, enumerate_digest, ENUMERATE_DIGESTS) for m in ENUMERATE_DIGESTS]
     checks += [(m, total_10_digest, TOTAL_10_DIGESTS) for m in TOTAL_10_DIGESTS]
+    if args.total_11:
+        checks += [(m, total_11_digest, TOTAL_11_DIGESTS) for m in TOTAL_11_DIGESTS]
     checks += [(kind, catalog_digest, CATALOG_DIGESTS) for kind in CATALOG_DIGESTS]
     checks += [(command, command_digest, COMMAND_DIGESTS) for command in COMMAND_DIGESTS]
     mismatches = 0

@@ -11,6 +11,7 @@ from rkdist import core, make_profile, product
 from rkdist.catalog import chain_profile, get
 from rkdist.cli import ORACLE_BUDGET, _build_parser, run
 from rkdist.core import MAX_VERTICES
+from rkdist.enumeration import enumerate_profiles
 from rkdist.io import serialize
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -170,6 +171,16 @@ def test_enumerate_output_shape():
     assert lines.count("---") == 7
     out2, _, _ = run(["enumerate", "--total", "5"])
     assert out == out2
+
+
+def test_enumerate_frames_its_documents():
+    # The count line, then the documents with a "---" line between each two.
+    assert run(["enumerate", "--total", "2"]) == (b"0\n", b"", 0)
+    (one,) = enumerate_profiles(3).profiles
+    assert run(["enumerate", "--total", "3"]) == (b"1\n" + one.canonical_text, b"", 0)
+    texts = [cf.canonical_text for cf in enumerate_profiles(5).profiles]
+    assert len(texts) == 8
+    assert run(["enumerate", "--total", "5"]) == (b"8\n" + b"---\n".join(texts), b"", 0)
 
 
 def test_enumerate_max_vertices():

@@ -149,6 +149,14 @@ def test_bounded_poset_counts():
     ]
 
 
+@pytest.mark.parametrize("k", range(1, 10))
+def test_bounded_posets_number_least_first_and_greatest_last(k):
+    # The enumeration reads V1-V5 off the labels alone, against classes 0 and k - 1.
+    full = (1 << k) - 1
+    for poset in _bounded_posets(k):
+        assert poset.up[0] == full ^ 1 and poset.down[-1] == full >> 1, poset.down
+
+
 def _is_bounded_poset(down):
     k = len(down)
     return (
@@ -260,8 +268,7 @@ def test_inadmissible_candidate_raises(monkeypatch):
     ],
 )
 def test_inadmissible_labelling_raises(monkeypatch, n, labelling, code):
-    # The least and greatest classes are read once per poset; the label conditions
-    # are still checked on every candidate.
+    # The label conditions are checked once per labelling, before any poset is read.
     def labellings(m, k, budget):
         return iter([labelling] if (m, k) == (n, 3) else [])
 
@@ -450,14 +457,19 @@ def _written(total, max_vertices=None):
     """Each candidate of one enumeration, as (sizes, ils, poset's down masks), with the
     document written for it; the leaf finder's calls; and the candidates' walks."""
     posets, candidates, documents, walks = [], [], [], []
+    for k in range(2, total + 1):
+        _bounded_posets(k)  # built first, so only the enumeration's poset loop is wrapped
+    one_per_orbit_of = enumeration._one_per_orbit
 
-    def extremes(down, up):
-        posets.append(down)
-        return core._extremes(down, up)
+    def bounded_posets(k):
+        for poset in _bounded_posets(k):
+            posets.append(poset.down)
+            yield poset
 
-    def failed(sizes, ils, least, greatest):
-        candidates.append((sizes, ils, posets[-1]))
-        return core._failed_conditions(sizes, ils, least, greatest)
+    def one_per_orbit(items, generators, image):
+        kept = one_per_orbit_of(items, generators, image)
+        candidates.extend((sizes, ils, posets[-1]) for sizes, ils in kept)
+        return kept
 
     def document(leaf, heads, **kwargs):
         documents.append(core._document(leaf, heads, **kwargs))
@@ -469,8 +481,8 @@ def _written(total, max_vertices=None):
             super().__init__(*structure)
 
     with (
-        mock.patch.object(enumeration, "_extremes", extremes),
-        mock.patch.object(enumeration, "_failed_conditions", failed),
+        mock.patch.object(enumeration, "_bounded_posets", bounded_posets),
+        mock.patch.object(enumeration, "_one_per_orbit", one_per_orbit),
         mock.patch.object(enumeration, "_document", document),
         mock.patch.object(enumeration, "_least_leaf", wraps=core._least_leaf) as finder,
         mock.patch.object(core, "_leaf_certificates", Counted),
