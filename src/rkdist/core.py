@@ -174,19 +174,18 @@ def _closure_index(succ: Sequence[Sequence[int]]) -> _ClassIndex:
 
     The classes are the strongly connected components, which Tarjan's walk
     emits sinks first; it keeps an explicit stack, so no input is too deep
-    for it.  Every cover is an edge of the condensed graph (Aho, Garey and
-    Ullman, 1972), so each class's list of the classes that its members
-    point to, found before it, holds every cover.
+    for it.  The walk only numbers the classes; one pass over the edges then
+    lists, per class, the other classes that its members point to.  Every
+    cover is an edge of the condensed graph (Aho, Garey and Ullman, 1972), so
+    that list holds every cover.
     """
     n = len(succ)
     number = [0] * n  # DFS number from 1; 0 while unvisited
     low = [0] * n
     comp = [-1] * n  # emission index of the vertex's class once it is found
-    out: list[list[int]] = [[] for _ in range(n)]  # per vertex, found classes it points to
     pending = [iter(s) for s in succ]  # per vertex, the successors not yet looked at
     stack: list[int] = []
-    successors: list[list[int]] = []  # per class, its successor classes (maybe repeated)
-    counter = 0
+    classes = counter = 0
     for root in range(n):
         if number[root]:
             continue
@@ -203,28 +202,27 @@ def _closure_index(succ: Sequence[Sequence[int]]) -> _ClassIndex:
                     stack.append(w)
                     path.append(w)
                     break
-                if comp[w] < 0:  # on the stack, so in v's class
-                    if number[w] < low[v]:
-                        low[v] = number[w]
-                else:
-                    out[v].append(comp[w])
+                if comp[w] < 0 and number[w] < low[v]:  # on the stack, so in v's class
+                    low[v] = number[w]
             else:  # v is finished
                 path.pop()
                 if low[v] == number[v]:
-                    c = len(successors)
-                    after: list[int] = []
                     while True:
                         x = stack.pop()
-                        comp[x] = c
-                        after += out[x]
+                        comp[x] = classes
                         if x == v:
                             break
-                    successors.append(after)
-                    if path:
-                        out[path[-1]].append(c)
+                    classes += 1
                 elif low[v] < low[path[-1]]:  # a DFS root closes a class, so v has a parent
                     low[path[-1]] = low[v]
-    return _class_index(comp, successors, range(len(successors)))[0]
+    successors: list[list[int]] = [[] for _ in range(classes)]  # maybe repeated
+    for v, ws in enumerate(succ):
+        c = comp[v]
+        for w in ws:
+            d = comp[w]
+            if d != c:
+                successors[c].append(d)
+    return _class_index(comp, successors, range(classes))[0]
 
 
 def _vertex_masks(index: _ClassIndex) -> tuple[int, ...]:
@@ -722,7 +720,8 @@ def _refine(
 
 
 # A leaf's certificate: its cover pairs relabelled to leaf positions, sorted.  A _Leaf
-# adds the class sizes and limit counts in leaf order, and fixes the leaf's document.
+# adds the class sizes and limit counts in leaf order, which is sorted order, and fixes
+# the leaf's document.
 _Certificate = tuple[tuple[int, int], ...]
 _Leaf = tuple[tuple[int, ...], tuple[int, ...], _Certificate]
 
@@ -910,38 +909,26 @@ def _least_leaf(
     up: list[int],
     covers: list[tuple[int, int]],
     seed: Sequence[list[int]],
-) -> tuple[list[int], _Certificate]:
-    """The leaf order and certificate of the least leaf of the tree rooted at the refined
-    initial cells; a discrete root is the only leaf.  ``seed`` are automorphisms that map
-    each initial cell onto itself.  The walk reads no labels, so every labelling with
-    these initial cells has this least leaf."""
+) -> _Certificate:
+    """The least leaf certificate of the tree rooted at the refined initial cells; a
+    discrete root is the only leaf.  ``seed`` are automorphisms that map each initial cell
+    onto itself.  The walk reads no labels, so every labelling with these initial cells
+    has this least certificate."""
     cells = _refine(list(initial), down, up)
     if len(cells) == len(down):
-        order = [c.bit_length() - 1 for c in cells]
-        return order, _certificate(order, covers)
-    walk = _leaf_certificates(down, up, covers, cells, seed)
-    cert = min(walk)
-    return walk.least_order(), cert
+        return _certificate([c.bit_length() - 1 for c in cells], covers)
+    return min(_leaf_certificates(down, up, covers, cells, seed))
 
 
 def _least_certificate(
-    sizes: list[int],
-    ils: list[int],
-    down: list[int],
-    up: list[int],
-    covers: list[tuple[int, int]],
-    automorphisms: Sequence[list[int]] = (),
+    sizes: list[int], ils: list[int], down: list[int], up: list[int], covers: list[tuple[int, int]]
 ) -> _Leaf:
-    """The class sizes and limit counts in leaf order and the least leaf certificate.
-    Every leaf has those sizes and limit counts, so leaf documents differ only in cover
-    lines, and the least certificate's is the least.
-
-    ``automorphisms`` are automorphisms of the classes' order, and those of them that
-    keep the labels seed the walk."""
+    """The sorted class sizes and limit counts and the least leaf certificate.  Every leaf
+    lists the classes' labels sorted, so leaf documents differ only in cover lines, and
+    the least certificate's is the least."""
     initial = _initial_cells(_cell_keys(sizes, ils, down, up))
-    seed = _keeping_labels(automorphisms, sizes, ils)
-    order, cert = _least_leaf(initial, down, up, covers, seed)
-    return tuple(sizes[e] for e in order), tuple(ils[e] for e in order), cert
+    cert = _least_leaf(initial, down, up, covers, ())
+    return (*zip(*sorted(zip(sizes, ils))), cert)
 
 
 def _keeping_labels(
@@ -959,12 +946,11 @@ def _keeping_labels(
 _Heads = dict[tuple[int, ...], tuple[bytes, list[str], dict[tuple[int, ...], bytes]]]
 
 
-def _document(leaf: _Leaf, heads: _Heads | None = None, shared_labels: bool = False) -> bytes:
+def _document(leaf: _Leaf, heads: _Heads | None = None) -> bytes:
     """Class p named n{p}, or n{p}_{j} per member, with fixed widths: sorted by position.
 
-    The head depends only on the class sizes; ``heads`` keeps the heads written so far.
-    With ``shared_labels`` the caller writes these sizes and limit counts, in this order,
-    over many cover lists, and ``heads`` keeps their il lines too."""
+    The head depends only on the class sizes and the il lines on the sizes and limit
+    counts; ``heads`` keeps both as written so far, so only the cover lines are new."""
     sizes, ils, covers = leaf
     if heads is None:
         heads = {}
@@ -978,8 +964,6 @@ def _document(leaf: _Leaf, heads: _Heads | None = None, shared_labels: bool = Fa
         names = [v for ms in members for v in ms]
         heads[sizes] = _format.head(names, members), [ms[0] for ms in members], {}
     head, reps, blocks = heads[sizes]
-    if not shared_labels:
-        return head + _format.tail(reps, ils, covers)
     if ils not in blocks:
         blocks[ils] = _format.tail(reps, ils, ())
     return head + _format.tail(reps, (), covers) + blocks[ils]

@@ -14,14 +14,13 @@ in their orbits, one per profile.  Each is written once, as the document
 of its least leaf certificate.
 
 A uniform candidate, one vertex per class and a limit count on the top
-alone, takes the poset's own least leaf order, which canonical
-augmentation found while it built the poset, with no refinement and no
-walk.  The top is the only class with k - 1 classes below it, so the
+alone, takes the certificate of the poset's own least leaf order, which
+canonical augmentation found while it built the poset, with no refinement
+and no walk.  The top is the only class with k - 1 classes below it, so the
 candidate's initial cells, and their order, are the poset's own, and every
 generator fixes the top and so seeds the walk.  A leaf certificate is the
 relabelled cover list alone, with no labels, so the candidate's
-certificates are the poset's; and the top, alone in the last root cell, is
-last in every leaf order, so the labels in leaf order are the candidate's own.
+certificates are the poset's.
 
 A candidate whose refined root is not discrete needs a walk of its search
 tree for that certificate.  The walk starts with the poset's generators
@@ -29,27 +28,26 @@ under which the labelling is invariant: they are automorphisms of the
 labelled profile, so it skips their images from the start instead of
 finding them leaf by leaf.
 
-The loop runs over the class count, then the poset, then the vertex count,
-and each poset finds the least leaf once per ordered initial cells, shared
-by all its candidates, whatever their vertex count.  That changes no byte.
-The walk reads no labels, only the poset's masks and covers, the root and
-the seed.  Equal ordered initial cells refine to the same root.  The seed
-is the same too: an automorphism keeps |down| and |up|, so it keeps the
-labels exactly when it maps each initial cell onto itself.  So the leaf
-order and certificate are the same, and only the sizes and limit counts
-read in that order differ.  A document is a head, which depends only on
-the class sizes in leaf order, and a tail, the cover and il lines; each
-call writes the head of each size vector once.
+The loop runs over the class count, then the poset, then the labellings of
+every vertex count, since orbits never mix vertex counts.  Each poset finds
+the least certificate once per ordered initial cells, shared by all its
+candidates.  That changes no byte.  The walk reads no labels, only the
+poset's masks and covers, the root and the seed.  Equal ordered initial
+cells refine to the same root.  The seed is the same too: an automorphism
+keeps |down| and |up|, so it keeps the labels exactly when it maps each
+initial cell onto itself.  Every leaf lists the sizes and limit counts in
+the order of the initial cells, sorted, so a document is a head, which
+depends only on the sorted sizes, the cover lines, and an il block, which
+depends only on the sorted labels; each call writes each head and each il
+block once.
 
 The loop does per candidate only the work that needs both the poset and the
 labels.  Every poset numbers its least class 0 and its greatest k - 1, so
 V1-V5 read the labels alone.  Per class count the loop checks them on each
-labelling of each vertex count and builds the uniform labelling, whose head
-and il lines are written once.  Per poset two mask comparisons check that
+labelling and sorts its labels.  Per poset two mask comparisons check that
 numbering, and, unless the one candidate is uniform, it counts the |down|
 and |up| that key the initial cells.  Per candidate it takes the orbit
-images, groups the initial cells, and reads its labels in leaf order through
-a getter kept with each least leaf.
+images and groups the initial cells.
 """
 
 from __future__ import annotations
@@ -265,15 +263,17 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
     heads: _Heads = {}
     # A single class would be a lone vertex with limit count 0 (V2), total 1.
     for k in range(2, nmax + 1):
-        per_n = [(n, ls) for n in range(k, nmax + 1) if (ls := list(_labellings(n, k, total - n)))]
-        if not per_n:
+        labellings = [ls for n in range(k, nmax + 1) for ls in _labellings(n, k, total - n)]
+        if not labellings:
             continue
         # Raise on a labelling that fails V1-V5 with least class 0 and greatest k - 1.
-        checks = (_failed_conditions(*ls, 0, k - 1) for _, lss in per_n for ls in lss)
+        checks = (_failed_conditions(*ls, 0, k - 1) for ls in labellings)
         if failed := next(filter(None, checks), None):
             raise InvalidProfile("profile fails " + ", ".join(failed))
+        # Every leaf lists the sizes and limit counts sorted.
+        in_leaf_order = {ls: tuple(zip(*sorted(zip(*ls)))) for ls in labellings}
         uniform = (1,) * k, (0,) * (k - 1) + (total - k,)
-        keyed = per_n != [(k, [uniform])]  # k = total - 1 has the uniform candidate alone
+        keyed = labellings != [uniform]  # k = total - 1 has the uniform candidate alone
         full = (1 << k) - 1
         for poset in _bounded_posets(k):
             down, up, covers, generators = poset.down, poset.up, poset.covers, poset.generators
@@ -282,23 +282,17 @@ def enumerate_profiles(total: int, max_vertices: int | None = None) -> Enumerati
                 raise InvalidProfile(f"profile fails {bad or 'the numbering 0..k-1'}")
             if keyed:
                 below, above = list(map(int.bit_count, down)), list(map(int.bit_count, up))
-            # Ordered initial cells -> a getter of labels in the least leaf's order, and
-            # its certificate.
-            leaves: dict[tuple[int, ...], tuple[itemgetter, _Certificate]] = {}
-            for n, labellings in per_n:
-                for labelling in _one_per_orbit(labellings, generators, _labelling_image):
-                    sizes, ils = labelling
-                    # A uniform candidate's search tree is the poset's own.
-                    if labelling == uniform:
-                        leaf = sizes, ils, _certificate(poset.order, covers)
-                        documents.append(_document(leaf, heads, shared_labels=True))
-                        continue
+            # Ordered initial cells -> their least certificate.
+            leaves: dict[tuple[int, ...], _Certificate] = {}
+            for labelling in _one_per_orbit(labellings, generators, _labelling_image):
+                sizes, ils = labelling
+                if labelling == uniform:  # its search tree is the poset's own
+                    cert = _certificate(poset.order, covers)
+                else:
                     initial = _initial_cells(zip(sizes, ils, below, above))
-                    found = leaves.get(initial)
-                    if found is None:
+                    cert = leaves.get(initial)
+                    if cert is None:
                         seed = _keeping_labels(generators, sizes, ils)
-                        order, cert = _least_leaf(initial, down, up, covers, seed)
-                        found = leaves[initial] = itemgetter(*order), cert
-                    in_order, cert = found
-                    documents.append(_document((in_order(sizes), in_order(ils), cert), heads))
+                        cert = leaves[initial] = _least_leaf(initial, down, up, covers, seed)
+                documents.append(_document((*in_leaf_order[labelling], cert), heads))
     return EnumerationResult(total, tuple(map(CanonicalProfile, sorted(set(documents)))))

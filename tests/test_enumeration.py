@@ -346,7 +346,7 @@ def test_candidate_documents_are_the_least_leaf_documents():
                 labellings, poset.generators, enumeration._labelling_image
             ):
                 structure = (sizes, ils, poset.down, poset.up, poset.covers)
-                cert = core._least_certificate(*structure, poset.generators)
+                cert = core._least_certificate(*structure)
                 document = core._document(cert)
                 profile = build(sizes, poset.down, ils)
                 assert document == oracle_canonical_text(profile), (poset.down, sizes, ils)
@@ -408,13 +408,17 @@ def test_only_label_keeping_generators_seed_the_walk(monkeypatch):
     monkeypatch.setattr(core, "_leaf_certificates", Recorded)
     # The second swap maps class 1 onto class 3, of another size; the third maps
     # class 3 onto class 4, of another limit count.
+    def least_leaf(sizes, ils):
+        initial = core._initial_cells(core._cell_keys(sizes, ils, down, up))
+        return core._least_leaf(initial, down, up, covers, core._keeping_labels(swaps, sizes, ils))
+
     sizes, ils = [1, 1, 1, 2, 2, 1], [0, 0, 0, 1, 2, 1]
-    cert = core._least_certificate(sizes, ils, down, up, covers, swaps)[2]
+    cert = least_leaf(sizes, ils)
     assert seeds == [[swaps[0]]]
     assert cert == min(_walk((sizes, ils, down, up, covers), ())[0])
     # With equal limit counts on classes 3 and 4 the third swap keeps the labels.
     seeds.clear()
-    core._least_certificate(sizes, [0, 0, 0, 1, 1, 1], down, up, covers, swaps)
+    least_leaf(sizes, [0, 0, 0, 1, 1, 1])
     assert seeds == [[swaps[0], swaps[2]]]
 
 
@@ -471,8 +475,8 @@ def _written(total, max_vertices=None):
         candidates.extend((sizes, ils, posets[-1]) for sizes, ils in kept)
         return kept
 
-    def document(leaf, heads, **kwargs):
-        documents.append(core._document(leaf, heads, **kwargs))
+    def document(leaf, heads):
+        documents.append(core._document(leaf, heads))
         return documents[-1]
 
     class Counted(core._leaf_certificates):
@@ -502,12 +506,12 @@ def _posets_by_down():
 @pytest.mark.parametrize("max_vertices", [None, 3, 5])
 def test_shared_least_leaves_match_unshared_searches(max_vertices):
     # Candidates of a poset with the same ordered initial cells share one least leaf;
-    # each document must be the one its own search, seeded and unshared, gives.
+    # each document must be the one its own search, unseeded and unshared, gives.
     for total in range(2, 10):
         for (sizes, ils, down), document in _written(total, max_vertices)[0]:
             poset = _posets_by_down()[down]
             structure = (sizes, ils, down, poset.up, poset.covers)
-            leaf = core._least_certificate(*structure, poset.generators)
+            leaf = core._least_certificate(*structure)
             assert document == core._document(leaf), (total, sizes, ils, down)
 
 
@@ -534,11 +538,19 @@ def test_each_poset_finds_each_least_leaf_once():
 
 
 def test_enumeration_writes_each_head_once():
-    # One head per class-size vector of the documents, in one call.
-    with mock.patch.object(_format, "head", wraps=_format.head) as head:
+    # One head per class-size vector of the documents, and one il block per pair of
+    # class-size and limit-count vectors, in one call.
+    with (
+        mock.patch.object(_format, "head", wraps=_format.head) as head,
+        mock.patch.object(_format, "tail", wraps=_format.tail) as tail,
+    ):
         result = enumerate_profiles(8)
-    sizes = {tuple(core._class_structure(parse(p.canonical_text))[0]) for p in result.profiles}
+    structures = [core._class_structure(parse(p.canonical_text)) for p in result.profiles]
+    sizes = {tuple(s[0]) for s in structures}
+    labels = {(tuple(s[0]), tuple(s[1])) for s in structures}
     assert head.call_count == len(sizes) < len(result.profiles)
+    il_blocks = [call for call in tail.call_args_list if call.args[1]]
+    assert len(il_blocks) == len(labels) < len(result.profiles)
 
 
 def _assert_uniform_certificates(poset, oracle):
